@@ -44,6 +44,22 @@ class CriterionResult:
         )
 
 
+def worst_of(*values) -> float:
+    """Largest entry (at least 0) over scalars and arrays; NaN or inf give +inf.
+
+    A running max(worst, x) keeps worst when x is NaN, so a NaN would pass
+    every bound; through this helper it fails every bound instead.
+    """
+    worst = 0.0
+    for v in values:
+        if np.ndim(v):
+            v = np.max(v) if np.isfinite(v).all() else math.inf
+        if not math.isfinite(v):
+            return math.inf
+        worst = max(worst, float(v))
+    return worst
+
+
 def criterion_1() -> CriterionResult:
     """Lattice-oscillator spectrum equals N(n + 1/2) - n^2 across a (p, N) grid."""
     t0 = time.perf_counter()
@@ -53,7 +69,7 @@ def criterion_1() -> CriterionResult:
             osc = kr.build_lattice_oscillator(p, N)
             got = np.linalg.eigvalsh(osc.hamiltonian)
             want = np.sort(osc.expected_spectrum())
-            worst = max(worst, float(np.max(np.abs(got - want))))
+            worst = worst_of(worst, np.abs(got - want))
     dt = time.perf_counter() - t0
     ok = worst < 1e-9 and dt < 5.0
     return CriterionResult(
@@ -71,9 +87,9 @@ def criterion_2() -> CriterionResult:
             H = kr.grid_hamiltonian(p, N)
             got = np.linalg.eigvalsh(H)
             want = np.arange(N + 1, dtype=float) + 0.5
-            worst_spec = max(worst_spec, float(np.max(np.abs(got - want))))
-            worst_fact = max(worst_fact, kr.grid_factorization_residual(p, N))
-    worst = max(worst_spec, worst_fact)
+            worst_spec = worst_of(worst_spec, np.abs(got - want))
+            worst_fact = worst_of(worst_fact, kr.grid_factorization_residual(p, N))
+    worst = worst_of(worst_spec, worst_fact)
     return CriterionResult(
         2, "grid spectrum n+1/2 and [A+,A-]/2 + (N+1)/2 factorization",
         worst, 1e-8, worst < 1e-8,
@@ -88,12 +104,12 @@ def criterion_3() -> CriterionResult:
     for N in range(1, 13):
         got = co.profile_normalization(chain, dim=N + 1)
         want = math.factorial(N) / (N + 1.0)
-        worst = max(worst, abs(got - want) / want)
-    anchors = max(
+        worst = worst_of(worst, abs(got - want) / want)
+    anchors = worst_of(
         abs(co.profile_normalization(chain, dim=2) - 0.5) / 0.5,
         abs(co.profile_normalization(chain, dim=3) - 2.0 / 3.0) / (2.0 / 3.0),
     )
-    worst = max(worst, anchors)
+    worst = worst_of(worst, anchors)
     return CriterionResult(
         3, "Hermite normalization constant N!/(N+1), N=1..12",
         worst, 1e-9, worst < 1e-9,
@@ -123,13 +139,13 @@ def criterion_4() -> CriterionResult:
             co.coherent_closed_form(chain, z),
         ]
         for s in states:
-            worst_norm = max(worst_norm, abs(float(np.linalg.norm(s)) - 1.0))
+            worst_norm = worst_of(worst_norm, abs(float(np.linalg.norm(s)) - 1.0))
         for i in range(3):
             for j in range(i + 1, 3):
                 ov = abs(np.vdot(states[i], states[j])) / (
                     np.linalg.norm(states[i]) * np.linalg.norm(states[j])
                 )
-                worst_overlap = max(worst_overlap, 1.0 - float(ov))
+                worst_overlap = worst_of(worst_overlap, 1.0 - float(ov))
     ok = worst_overlap < 1e-7 and worst_norm < 1e-8
     return CriterionResult(
         4, "three-way coherent-state agreement, 25 random (chain, z)",
@@ -148,7 +164,7 @@ def criterion_5() -> CriterionResult:
         d_rec = co.transfer_coefficients(chain, nmax)
         d_cf = co.transfer_closed_form(chain, nmax)
         denom = np.maximum(1.0, np.maximum(np.abs(d_rec), np.abs(d_cf)))
-        worst = max(worst, float(np.max(np.abs(d_rec - d_cf) / denom)))
+        worst = worst_of(worst, np.abs(d_rec - d_cf) / denom)
     return CriterionResult(
         5, "transfer table closed form vs recurrence, n<=3N, 10 chains",
         worst, 1e-8, worst < 1e-8,
@@ -171,8 +187,8 @@ def criterion_6() -> CriterionResult:
         r_zero = co.zero_value_residual(chain, dim=dim)
         roots = co.root_identity_residuals(chain, dim=dim)
         for key, val in dict(roots, square=r_sq, even_sum=r_ev, zero=r_zero).items():
-            pieces[key] = max(pieces.get(key, 0.0), val)
-            worst = max(worst, val)
+            pieces[key] = worst_of(pieces.get(key, 0.0), val)
+            worst = worst_of(worst, val)
     detail = ", ".join("%s %.0e" % (k, v) for k, v in sorted(pieces.items()))
     return CriterionResult(
         6, "root/parity identity ledger on Hermite+lattice chains",
@@ -187,7 +203,7 @@ def criterion_7() -> CriterionResult:
         for N in range(1, 31):
             r1, r2 = kr.dual_orthogonality_residuals(p, N)
             g1, g2 = kr.grid_orthogonality_residuals(p, N)
-            worst = max(worst, r1, r2, g1, g2)
+            worst = worst_of(worst, r1, r2, g1, g2)
     return CriterionResult(
         7, "both dual orthogonality pairs (polynomial and grid), N<=30",
         worst, 1e-9, worst < 1e-9,
@@ -202,15 +218,13 @@ def criterion_8() -> CriterionResult:
     for p in (0.2, 0.5, 0.8):
         for N in range(1, 21):
             T, *_ = kr.polynomial_to_grid_map(p, N)
-            worst_u = max(
-                worst_u, float(np.max(np.abs(T.T @ T - np.eye(N + 1))))
-            )
-            worst_t = max(worst_t, kr.transport_residual(p, N))
-            worst_h = max(worst_h, kr.hamiltonian_relation_residual(p, N))
+            worst_u = worst_of(worst_u, np.abs(T.T @ T - np.eye(N + 1)))
+            worst_t = worst_of(worst_t, kr.transport_residual(p, N))
+            worst_h = worst_of(worst_h, kr.hamiltonian_relation_residual(p, N))
     ok = worst_u < 1e-10 and worst_t < 1e-9 and worst_h < 1e-8
     return CriterionResult(
         8, "unitary intertwiner: T'T=1, ladder transport, H relation",
-        max(worst_u, worst_t, worst_h), 1e-8, ok,
+        worst_of(worst_u, worst_t, worst_h), 1e-8, ok,
         detail="unitarity %.1e (1e-10), transport %.1e (1e-9), H %.1e (1e-8)"
         % (worst_u, worst_t, worst_h),
     )
@@ -230,9 +244,9 @@ def criterion_9() -> CriterionResult:
             mom = MomentSequence.from_quadrature(nodes, weights, N + 1)
             back = coefficients_from_moments(mom, N)
             rel = np.abs(back.b - chain.b[:N]) / np.abs(chain.b[:N])
-            worst_rt = max(worst_rt, float(np.max(rel)))
+            worst_rt = worst_of(worst_rt, rel)
             mu2, mu4 = mom.moment(2), mom.moment(4)
-            worst_anchor = max(
+            worst_anchor = worst_of(
                 worst_anchor,
                 abs(chain.b[0] ** 2 - mu2),
                 abs(chain.b[1] ** 2 - (mu4 / mu2 - mu2)),

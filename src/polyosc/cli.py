@@ -12,8 +12,9 @@ verify      run the acceptance battery
 Output is plain text by default; --format json emits byte-stable JSON
 (fixed key order, shortest round-trip floats), --format csv a flat
 key,value table.  Exit status: 0 all checks within tolerance, 1 a tolerance
-was violated, 2 usage errors.  The default tolerance is 1e-8, overridable
-by --tol or the POLYOSC_TOL environment variable.
+was violated (NaN or inf included) or an ArithmeticError stopped the run, 2
+usage errors.  The default tolerance is 1e-8, overridable by --tol or the
+POLYOSC_TOL environment variable.
 """
 
 from __future__ import annotations
@@ -24,14 +25,13 @@ import io
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import __version__
 from . import coherent as co
 from . import krawtchouk as kr
-from .acceptance import format_report, run_all
+from .acceptance import format_report, run_all, worst_of
 from .chains import resolve_chain
 from .fockspace import build_symmetric_oscillator, expected_truncated_spectrum, spectrum
 from .momentsys import MomentSequence, SupportExhaustedError, coefficients_from_moments
@@ -138,7 +138,7 @@ def cmd_spectrum(args):
         raise ChainError("spectrum works on zero-diagonal chains; got a diagonal")
     paired, _ = spectrum(ops)
     want = expected_truncated_spectrum(chain, dim=dim)
-    dev = float(np.max(np.abs(paired - want)))
+    dev = worst_of(np.abs(paired - want))
     ok = dev <= args.tol
     payload = {
         "command": "spectrum",
@@ -173,9 +173,9 @@ def cmd_coherent(args):
             u, v = states[names[i]], states[names[j]]
             ov = abs(np.vdot(u, v)) / (np.linalg.norm(u) * np.linalg.norm(v))
             overlaps["%s|%s" % (names[i], names[j])] = float(ov)
-            worst = max(worst, 1.0 - float(ov))
+            worst = worst_of(worst, 1.0 - float(ov))
     norms = {k: float(np.linalg.norm(v)) for k, v in states.items()}
-    worst_norm = max(abs(n - 1.0) for n in norms.values())
+    worst_norm = worst_of([abs(n - 1.0) for n in norms.values()])
     ok = worst <= args.tol and worst_norm <= args.tol
     payload = {
         "command": "coherent",
@@ -227,7 +227,7 @@ def _krawtchouk_point(p, N, tol):
         "hamiltonian_relation": kr.hamiltonian_relation_residual(p, N),
         "difference_forms": kr.difference_form_residual(p, N),
     }
-    worst = max(v for k, v in res.items() if k not in ("p", "N"))
+    worst = worst_of(*(v for k, v in res.items() if k not in ("p", "N")))
     res["worst_residual"] = worst
     res["pass"] = bool(worst <= tol)
     return res
@@ -255,8 +255,7 @@ def cmd_krawtchouk(args):
     tol = args.tol
     if args.sweep:
         _, values = _parse_sweep(args.sweep)
-        with ThreadPoolExecutor(max_workers=min(8, len(values))) as pool:
-            rows = list(pool.map(lambda v: _krawtchouk_point(v, args.N, tol), values))
+        rows = [_krawtchouk_point(v, args.N, tol) for v in values]
         ok = all(r["pass"] for r in rows)
         payload = {
             "command": "krawtchouk",
@@ -303,6 +302,8 @@ def cmd_moments(args):
     # default: round-trip the named chain through its own moments
     chain = _chain_from_args(args)
     count = args.count if args.count is not None else min(8, chain.valid_depth)
+    if count > chain.valid_depth:
+        raise ValueError("--count %d exceeds the chain's depth %d" % (count, chain.valid_depth))
     from .momentsys import verify_canonical_orthogonality
     from .polyrec import gauss_quadrature
 
@@ -439,6 +440,9 @@ def main(argv=None) -> int:
     except (ValueError, ChainError, OSError) as err:
         print("error: %s" % err, file=sys.stderr)
         return 2
+    except ArithmeticError as err:
+        print("error: %s" % err, file=sys.stderr)
+        return 1
     if payload is not None:
         _emit(payload, args)
     return 0 if ok else 1

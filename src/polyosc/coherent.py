@@ -14,7 +14,8 @@ is computed by
    with the transfer coefficients d[n, l] of the exponent's n-th power
    generated by their two-term recurrence.
 3. coherent_closed_form -- a finite sum over the roots of the (N+1)-st
-   monic polynomial of the chain, with Gauss-Christoffel weights.
+   polynomial of the chain, with Gauss-Christoffel weights, summed in the
+   orthonormal variable so that no term overflows at large N.
 
 Route 3 deserves a remark.  The weights attached to the roots *must* be the
 Gauss-Christoffel weights of the chain's measure: the transfer recurrence
@@ -24,6 +25,7 @@ integrate psit_l exactly -- which pins them to the quadrature weights.  For
 the Hermite chain (b_n = sqrt((n+1)/2)) these collapse to the elegant
 closed expression const / psit_N(x_k)^2, and that special case is kept
 here (node_sum_profile, profile_normalization) as an independent anchor.
+Every polynomial table here comes from polyrec.node_table.
 """
 
 from __future__ import annotations
@@ -35,7 +37,8 @@ from .polyrec import (
     as_chain,
     double_factorial_on_index,
     eval_monic_tilde,
-    factorial_on_index,
+    gauss_quadrature,
+    node_table,
     tilde_quadrature,
 )
 from .fockspace import build_symmetric_oscillator
@@ -65,6 +68,26 @@ def _truncation(chain, dim=None):
     b = np.zeros(N + 1)
     b[:N] = chain.b[:N]
     return b, N
+
+
+def _tilde_norms(b: np.ndarray, N: int) -> np.ndarray:
+    """(2b^2_{l-1})! for l = 0..N as one longdouble cumulative product
+    (it overflows float64 past l ~ 170 on the boson chain)."""
+    return np.concatenate(([1.0], np.cumprod((2.0 * b[:N] ** 2).astype(_LD))))
+
+
+def _tilde_rule(b: np.ndarray, N: int):
+    """Polished Gauss rule of the truncated chain in the tilde variable, with
+    the psit_0..psit_N table at its nodes (rows l, columns k)."""
+    x, w = tilde_quadrature(RecurrenceCoefficients(b=b[:N]), N + 1)
+    return x, w, node_table(b, N, x, "monic_tilde")
+
+
+def _profiles(rule, radii) -> np.ndarray:
+    """A_l(r) = sum_k W_k psit_l(x_k) exp(i r x_k); column i is r = radii[i]."""
+    x, w, table = rule
+    phases = np.exp(1j * np.multiply.outer(x, np.asarray(radii, dtype=float)))
+    return np.asarray(table @ (w[:, None] * phases), dtype=complex)
 
 
 def _ladder_prefactors(b: np.ndarray) -> np.ndarray:
@@ -116,23 +139,10 @@ def transfer_closed_form(chain, nmax: int, dim: int | None = None) -> np.ndarray
     quadrature rule arrives Newton-polished in extended precision.
     """
     b, N = _truncation(chain, dim)
-    if N == 0:
-        return np.eye(nmax + 1, 1)
-    work = RecurrenceCoefficients(b=b[:N])
-    x, w = tilde_quadrature(work, N + 1)
-    # psit table at the nodes, all degrees at once
-    tb2 = 2.0 * (b.astype(_LD)) ** 2
+    x, w = tilde_quadrature(RecurrenceCoefficients(b=b[:N]), N + 1)
     xs = x.astype(_LD)
-    table = np.zeros((N + 1, N + 1), dtype=_LD)  # [l, k]
-    pkm1 = np.zeros_like(xs)
-    pk = np.ones_like(xs)
-    table[0] = pk
-    for l in range(1, N + 1):
-        pkp1 = xs * pk - (tb2[l - 2] if l >= 2 else 0.0) * pkm1
-        pkm1, pk = pk, pkp1
-        table[l] = pk
-    hl = np.array([factorial_on_index(tb2, l) for l in range(N + 1)], dtype=_LD)
-    u = table / hl[:, None]  # u[l, k] = psit_l(x_k) / (2b^2_{l-1})!
+    # u[l, k] = psit_l(x_k) / (2b^2_{l-1})!
+    u = node_table(b, N, xs, "monic_tilde") / _tilde_norms(b, N)[:, None]
     out = np.zeros((nmax + 1, N + 1))
     xp = np.ones_like(xs)
     for n in range(nmax + 1):
@@ -232,31 +242,27 @@ def quadrature_profile(chain, r: float, dim: int | None = None) -> np.ndarray:
     profile feeds (the phase of z factors out of the closed form).
     """
     b, N = _truncation(chain, dim)
-    if N == 0:
-        return np.ones(1, dtype=complex)
-    work = RecurrenceCoefficients(b=b[:N])
-    x, w = tilde_quadrature(work, N + 1)
-    table = np.array([eval_monic_tilde(work, l, x) for l in range(N + 1)])
-    table = np.atleast_2d(table)
-    prof = (table * w[None, :] * np.exp(1j * r * x)[None, :]).sum(axis=1)
-    return np.asarray(prof, dtype=complex)
+    return _profiles(_tilde_rule(b, N), [r])[:, 0]
 
 
 def coherent_closed_form(chain, z: complex, dim: int | None = None) -> np.ndarray:
     """Displaced vacuum from the root/weight sum (no series, no exponential).
 
-    C_l = (-i z/|z|)^l A_l(|z|) / (sqrt(2) b_{l-1})!, with A_l the weighted
-    node profile.  At z = 0 the state is the vacuum.
+    C_l = (-i z/|z|)^l sum_k w_k psi_l(y_k) exp(i |z| sqrt(2) y_k) over the
+    Newton-polished Gauss rule (y_k, w_k): the profile A_l(|z|) divided by
+    (sqrt(2) b_{l-1})! term by term, so no factorial overflows.  At z = 0
+    the state is the vacuum.
     """
     b, N = _truncation(chain, dim)
     if z == 0:
         out = np.zeros(N + 1, dtype=complex)
         out[0] = 1.0
         return out
-    prof = quadrature_profile(chain, abs(z), dim=N + 1)
-    pref = _ladder_prefactors(b)
-    phase = -1j * z / abs(z)
-    return phase ** np.arange(N + 1) * prof / pref
+    r = abs(z)
+    work = RecurrenceCoefficients(b=b[:N])
+    y, w = gauss_quadrature(work, N + 1)
+    amp = node_table(work, N, y, "orthonormal") @ (w * np.exp(1j * r * np.sqrt(_LD(2.0)) * y))
+    return (-1j * z / r) ** np.arange(N + 1) * np.asarray(amp, dtype=complex)
 
 
 def node_sum_profile(chain, l: int, r: float, dim: int | None = None) -> complex:
@@ -291,26 +297,16 @@ def profile_normalization(chain, dim: int | None = None) -> float:
 # magnitude entering it.
 
 
-def _psit_node_table(b, N, xs):
-    work = RecurrenceCoefficients(b=b[:N]) if N > 0 else None
-    if work is None:
-        return np.ones((1, len(np.atleast_1d(xs))))
-    return np.array(
-        [np.atleast_1d(eval_monic_tilde(work, l, xs)) for l in range(N + 2)]
-    )
-
-
 def alternating_square_residual(chain, xs=None, dim: int | None = None) -> float:
     """Identity: x sum_l (-1)^l psit_l(x)^2/(2b^2_{l-1})! equals
     (-1)^N psit_{N+1}(x) psit_N(x)/(2b^2_{N-1})!, for every real x."""
     b, N = _truncation(chain, dim)
-    tb2 = 2.0 * b**2
     if xs is None:
         xmax = 2.0 * np.sqrt(2.0) * (np.max(np.abs(b)) + 1.0) * np.sqrt(N + 1.0)
         xs = np.linspace(-xmax, xmax, 41)
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    table = _psit_node_table(b, N, xs)
-    hl = np.array([factorial_on_index(tb2, l) for l in range(N + 1)])
+    table = node_table(b, N + 1, xs, "monic_tilde")
+    hl = _tilde_norms(b, N)
     summands = (-1.0) ** np.arange(N + 1)[:, None] * table[: N + 1] ** 2 / hl[:, None]
     lhs = xs * summands.sum(axis=0)
     rhs = (-1.0) ** N * table[N + 1] * table[N] / hl[N]
@@ -329,7 +325,7 @@ def alternating_even_residual(chain, xs=None, dim: int | None = None) -> float:
         xmax = 2.0 * np.sqrt(2.0) * (np.max(np.abs(b)) + 1.0) * np.sqrt(N + 1.0)
         xs = np.linspace(-xmax, xmax, 41)
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    table = _psit_node_table(b, N, xs)
+    table = node_table(b, N + 1, xs, "monic_tilde")
     dfac = np.array([double_factorial_on_index(tb2, 2 * p) for p in range(m + 1)])
     rows = np.array([(-1.0) ** p * table[2 * p] / dfac[p] for p in range(m + 1)])
     lhs = xs * rows.sum(axis=0)
@@ -344,12 +340,10 @@ def zero_value_residual(chain, dim: int | None = None) -> float:
     b, N = _truncation(chain, dim)
     tb2 = 2.0 * b**2
     worst = 0.0
-    table = _psit_node_table(b, N, np.array([0.0]))
+    table = node_table(b, N + 1, 0.0, "monic_tilde")
     for p in range(0, (N + 1) // 2 + 1):
-        if 2 * p > N + 1:
-            break
         want = (-1.0) ** p * double_factorial_on_index(tb2, 2 * p - 1)
-        got = float(table[2 * p][0])
+        got = float(table[2 * p])
         worst = max(worst, abs(got - want) / max(1.0, abs(want)))
     return worst
 
@@ -371,29 +365,24 @@ def root_identity_residuals(chain, dim: int | None = None) -> dict:
     """
     b, N = _truncation(chain, dim)
     tb2 = 2.0 * b**2
-    work = RecurrenceCoefficients(b=b[:N])
-    x, _ = tilde_quadrature(work, N + 1)
-    table = _psit_node_table(b, N, x)  # [l, k]
-    hl = np.array([factorial_on_index(tb2, l) for l in range(N + 1)])
-    u = table[: N + 1] / hl[:, None]
+    x, _, table = _tilde_rule(b, N)  # table[l, k] = psit_l(x_k)
+    hl = _tilde_norms(b, N)
+    u = table / hl[:, None]
     out = {}
 
     # kernel orthogonality at distinct roots
-    gram = u.T @ (table[: N + 1])  # sum_l psit_l(x_s) psit_l(x_k) / h_l
+    gram = u.T @ table  # sum_l psit_l(x_s) psit_l(x_k) / h_l
     cross = np.abs(x[:, None] * x[None, :] * gram)
     # normalizing scale: biggest single summand per (s, k) pair
-    big = np.zeros_like(gram)
-    for s in range(N + 1):
-        for k in range(N + 1):
-            big[s, k] = np.max(np.abs(u[:, s] * table[: N + 1, k]))
+    big = np.array([np.max(np.abs(u[:, s, None] * table), axis=0) for s in range(N + 1)])
     big = np.maximum(big * np.maximum(np.abs(x[:, None] * x[None, :]), 1.0), 1.0)
     mask = ~np.eye(N + 1, dtype=bool)
     out["kernel"] = float(np.max(cross[mask] / big[mask])) if N > 0 else 0.0
 
     # alternating diagonal
     signs = (-1.0) ** np.arange(N + 1)
-    diag = x * np.einsum("lk,lk->k", signs[:, None] * u, table[: N + 1])
-    dbig = np.maximum(np.max(np.abs(u * table[: N + 1]), axis=0) * np.maximum(np.abs(x), 1.0), 1.0)
+    diag = x * np.einsum("lk,lk->k", signs[:, None] * u, table)
+    dbig = np.maximum(np.max(np.abs(u * table), axis=0) * np.maximum(np.abs(x), 1.0), 1.0)
     out["alternating"] = float(np.max(np.abs(diag) / dbig))
 
     # combined form: plain off the diagonal, alternating on it
@@ -403,9 +392,8 @@ def root_identity_residuals(chain, dim: int | None = None) -> dict:
     if N % 2 == 0 and N >= 2:
         m = N // 2
         # center coupling (uses the value identity at 0)
-        h2p = np.array([factorial_on_index(tb2, 2 * p) for p in range(m + 1)])
-        at0 = _psit_node_table(b, N, np.array([0.0]))[: N + 1, 0]
-        rows = np.array([at0[2 * p] * table[2 * p] / h2p[p] for p in range(m + 1)])
+        at0 = node_table(b, N, 0.0, "monic_tilde")
+        rows = np.array([at0[2 * p] * table[2 * p] / hl[2 * p] for p in range(m + 1)])
         val = x * rows.sum(axis=0)
         cbig = np.maximum(np.max(np.abs(rows), axis=0) * np.maximum(np.abs(x), 1.0), 1.0)
         out["center"] = float(np.max(np.abs(val) / cbig))
@@ -431,15 +419,9 @@ def resolution_residuals(chain, t, weights, dim: int | None = None) -> np.ndarra
     makes every entry vanish.
     """
     b, N = _truncation(chain, dim)
-    tb2 = 2.0 * b**2
-    hl = np.array([factorial_on_index(tb2, l) for l in range(N + 1)])
-    t = np.asarray(t, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    acc = np.zeros(N + 1)
-    for ti, wi in zip(t, weights):
-        prof = quadrature_profile(chain, float(np.sqrt(ti)), dim=N + 1)
-        acc += wi * np.abs(prof) ** 2
-    return np.abs(acc - hl)
+    radii = np.sqrt(np.asarray(t, dtype=float))
+    acc = np.abs(_profiles(_tilde_rule(b, N), radii)) ** 2 @ np.asarray(weights, dtype=float)
+    return np.abs(acc - _tilde_norms(b, N)).astype(float)
 
 
 def construct_resolution_measure(chain, dim: int | None = None, nnodes: int | None = None):
@@ -452,19 +434,13 @@ def construct_resolution_measure(chain, dim: int | None = None, nnodes: int | No
     from scipy.optimize import nnls
 
     b, N = _truncation(chain, dim)
-    tb2 = 2.0 * b**2
-    hl = np.array([factorial_on_index(tb2, l) for l in range(N + 1)])
     if nnodes is None:
         nnodes = 8 * (N + 1)
     if N == 0:
         return np.array([1.0]), np.array([1.0])
     # spread nodes over a few characteristic radii of the spectrum
-    x, _ = tilde_quadrature(RecurrenceCoefficients(b=b[:N]), N + 1)
-    span = max(1.0, float(np.max(np.abs(x))))
-    radii = np.linspace(1e-3, 4.0 * np.pi / (2.0 * span / (N + 1) if N > 0 else 1.0), nnodes)
-    t = radii**2
-    M = np.zeros((N + 1, nnodes))
-    for i, ri in enumerate(radii):
-        M[:, i] = np.abs(quadrature_profile(chain, float(ri), dim=N + 1)) ** 2
-    w, _ = nnls(M, hl)
-    return t, w
+    rule = _tilde_rule(b, N)
+    span = max(1.0, float(np.max(np.abs(rule[0]))))
+    radii = np.linspace(1e-3, 4.0 * np.pi / (2.0 * span / (N + 1)), nnodes)
+    w, _ = nnls(np.abs(_profiles(rule, radii)) ** 2, _tilde_norms(b, N))
+    return radii**2, w

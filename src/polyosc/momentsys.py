@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .polyrec import RecurrenceCoefficients, gauss_quadrature
+from .polyrec import RecurrenceCoefficients, gauss_quadrature, node_table
 
 # Pivot smaller than this fraction of the leading pivot means the measure's
 # support is exhausted at that depth.
@@ -53,6 +53,8 @@ class MomentSequence:
         ev = np.asarray(even_moments, dtype=np.longdouble)
         if ev.ndim != 1 or len(ev) == 0:
             raise ValueError("need a one-dimensional, nonempty even-moment sequence")
+        if not np.all(np.isfinite(ev)):
+            raise ValueError("moments must be finite (no NaN or inf)")
         if abs(float(ev[0]) - 1.0) > 1e-12:
             raise ValueError("mu_0 must be 1 (probability normalization), got %r" % ev[0])
         self.even = ev
@@ -153,12 +155,8 @@ def verify_canonical_orthogonality(chain, degree: int) -> float:
     Uses the chain's own (degree+1)-point rule, exact for the integrands.
     The diagnostic a reconstruction should pass before being trusted.
     """
-    from .polyrec import eval_orthonormal
-
-    chain = moments_chain = chain
-    nodes, weights = gauss_quadrature(moments_chain, degree + 1)
-    table = np.array([eval_orthonormal(chain, n, nodes) for n in range(degree + 1)])
-    table = np.atleast_2d(table)
+    nodes, weights = gauss_quadrature(chain, degree + 1)
+    table = node_table(chain, degree, nodes, "orthonormal")
     gram = (table * weights) @ table.T
     return float(np.max(np.abs(gram - np.eye(degree + 1))))
 

@@ -11,7 +11,8 @@ Two polynomial normalizations are used throughout:
 
 They are related by a sqrt(2) change of variable,
     psit_n(sqrt(2) x) = fact_idx(sqrt(2) b, n) * psi_n(x),
-where fact_idx is the index-factorial below.  Roots are always computed as
+where fact_idx is the index-factorial below.  Every value of either family
+comes from one kernel, node_table.  Roots are always computed as
 Jacobi-matrix eigenvalues, never by polynomial root finding.
 """
 
@@ -26,7 +27,7 @@ _LD = np.longdouble
 
 
 class ChainError(ValueError):
-    """Invalid recurrence data (wrong shape, interior zero, complex entries)."""
+    """Invalid recurrence data (wrong shape, interior zero, NaN/inf, complex entries)."""
 
 
 @dataclass
@@ -62,6 +63,8 @@ class RecurrenceCoefficients:
                     "a and b must have equal length, got %d and %d"
                     % (len(self.a), len(self.b))
                 )
+        if not (np.all(np.isfinite(self.b)) and np.all(np.isfinite(self.diagonal()))):
+            raise ChainError("chain coefficients must be finite (no NaN or inf)")
         # Zeros are only allowed as a trailing (truncating) block.
         nz = np.nonzero(self.b == 0.0)[0]
         if nz.size:
@@ -127,54 +130,59 @@ def double_factorial_on_index(values, n: int) -> float:
     return float(np.prod(values[n - 1 :: -2].astype(_LD)))
 
 
-def eval_orthonormal(chain, n: int, x):
-    """Evaluate the orthonormal polynomial psi_n at x by forward recurrence.
+def node_table(chain, nmax: int, x, normalization: str) -> np.ndarray:
+    """Rows 0..nmax of psi ("orthonormal") or psit ("monic_tilde") at every x.
 
-    psi_{k+1} = ((x - a_k) psi_k - b_{k-1} psi_{k-1}) / b_k, psi_0 = 1.
-    Valid for n <= chain.valid_depth (the division needs b_k != 0).
-    Accumulation is done in extended precision; values grow factorially with
-    n but only enter downstream formulas through ratios.
+    One forward pass in extended precision; returns a longdouble array of
+    shape (nmax + 1,) + shape(x).  psi needs nmax <= chain.valid_depth (it
+    divides by b_k).  psit_n only uses b_0..b_{n-2}, so it reaches one degree
+    past the truncation boundary (that closing polynomial supplies the root
+    set).  Values grow factorially with the degree but only enter downstream
+    formulas through ratios.
     """
     chain = as_chain(chain)
-    if n < 0:
+    if normalization not in ("orthonormal", "monic_tilde"):
+        raise ValueError("unknown normalization %r" % (normalization,))
+    tilde = normalization == "monic_tilde"
+    if tilde and not chain.symmetric:
+        raise ChainError("the tilde family is defined for symmetric chains (a == 0)")
+    if nmax < 0:
         raise ValueError("polynomial degree must be nonnegative")
-    if n > chain.valid_depth:
-        raise ChainError("chain supports degrees up to %d, got %d" % (chain.valid_depth, n))
-    a = chain.diagonal().astype(_LD)
+    if not tilde and nmax > chain.valid_depth:
+        raise ChainError("chain supports degrees up to %d, got %d" % (chain.valid_depth, nmax))
+    if tilde and nmax > chain.depth + 1:
+        raise ChainError("need b_0..b_%d for degree %d" % (nmax - 2, nmax))
+    # step k: row_{k+1} = ((x - a_k) row_k - c_k row_{k-1}) / d_k, with c_0 = 0
     b = chain.b.astype(_LD)
-    x_arr = np.asarray(x, dtype=_LD)
-    pkm1 = np.zeros_like(x_arr)
-    pk = np.ones_like(x_arr)
-    for k in range(n):
-        pkp1 = ((x_arr - a[k]) * pk - (b[k - 1] if k > 0 else 0.0) * pkm1) / b[k]
-        pkm1, pk = pk, pkp1
-    out = np.asarray(pk, dtype=float)
+    below = b[: max(nmax - 1, 0)]
+    if tilde:
+        a, c, d = np.zeros(nmax, dtype=_LD), 2.0 * below**2, np.ones(nmax, dtype=_LD)
+    else:
+        a, c, d = chain.diagonal()[:nmax].astype(_LD), below, b[:nmax]
+    c = np.concatenate(([0.0], c))
+    x = np.asarray(x, dtype=_LD)
+    table = np.empty((nmax + 1,) + x.shape, dtype=_LD)
+    table[0] = 1.0
+    prev = np.zeros_like(x)
+    for k in range(nmax):
+        table[k + 1] = ((x - a[k]) * table[k] - c[k] * prev) / d[k]
+        prev = table[k]
+    return table
+
+
+def _last_row(table):
+    out = np.asarray(table[-1], dtype=float)
     return out if out.ndim else float(out)
+
+
+def eval_orthonormal(chain, n: int, x):
+    """psi_n at x: the last row of node_table(chain, n, x, "orthonormal")."""
+    return _last_row(node_table(chain, n, x, "orthonormal"))
 
 
 def eval_monic_tilde(chain, n: int, x):
-    """Evaluate the monic tilde polynomial psit_n at x (symmetric chains).
-
-    psit_{k+1} = x psit_k - 2 b_{k-1}^2 psit_{k-1}, psit_0 = 1.  Note that
-    psit_{n} only uses b_0..b_{n-2}, so it is defined one degree past the
-    truncation boundary (that closing polynomial supplies the root set).
-    """
-    chain = as_chain(chain)
-    if not chain.symmetric:
-        raise ChainError("the tilde family is defined for symmetric chains (a == 0)")
-    if n < 0:
-        raise ValueError("polynomial degree must be nonnegative")
-    if n > chain.depth + 1:
-        raise ChainError("need b_0..b_%d for degree %d" % (n - 2, n))
-    tb2 = 2.0 * chain.b.astype(_LD) ** 2
-    x_arr = np.asarray(x, dtype=_LD)
-    pkm1 = np.zeros_like(x_arr)
-    pk = np.ones_like(x_arr)
-    for k in range(n):
-        pkp1 = x_arr * pk - (tb2[k - 1] if k > 0 else 0.0) * pkm1
-        pkm1, pk = pk, pkp1
-    out = np.asarray(pk, dtype=float)
-    return out if out.ndim else float(out)
+    """psit_n at x: the last row of node_table(chain, n, x, "monic_tilde")."""
+    return _last_row(node_table(chain, n, x, "monic_tilde"))
 
 
 def monic_tilde_coefficients(chain, n: int) -> np.ndarray:
@@ -256,7 +264,7 @@ def roots(chain, degree: int, residual_tol: float = 1e-8) -> RootSet:
     return RootSet(x=x, residuals=res, degree=degree, scale=scale)
 
 
-def _refined_gauss_rule(diag, off, vals):
+def _refined_gauss_rule(chain, diag, off, vals):
     """Newton-polish Golub-Welsch nodes in extended precision.
 
     The float64 eigenvalues are accurate to ~1e-12 absolute, which is not
@@ -284,14 +292,8 @@ def _refined_gauss_rule(diag, off, vals):
                 pv + (y - dg[k]) * dv - c * dm,
             )
         y = y - pv / dv
-    bb = np.asarray(off, dtype=np.longdouble)
-    qm = np.zeros_like(y)
-    qv = np.ones_like(y)
-    total = np.ones_like(y)
-    for k in range(n - 1):
-        qn = ((y - dg[k]) * qv - (bb[k - 1] if k else 0.0) * qm) / bb[k]
-        qm, qv = qv, qn
-        total = total + qv**2
+    # cumsum keeps a sequential degree-order sum: moment recovery is sensitive to its rounding
+    total = np.cumsum(node_table(chain, n - 1, y, "orthonormal") ** 2, axis=0)[-1]
     return y, 1.0 / total
 
 
@@ -320,7 +322,7 @@ def gauss_quadrature(chain, npoints: int):
     off = chain.b[: npoints - 1]
     if np.all(off > 0):
         vals = eigh_tridiagonal(diag, off, eigvals_only=True)
-        return _refined_gauss_rule(diag, off, np.sort(vals))
+        return _refined_gauss_rule(chain, diag, off, np.sort(vals))
     vals, vecs = eigh_tridiagonal(diag, off)
     order = np.argsort(vals)
     return vals[order], vecs[0, order] ** 2

@@ -91,6 +91,29 @@ class TestCoherentCommand:
         amp0 = payload["amplitudes"]["exponential"][0]
         assert set(amp0) == {"re", "im"}
 
+    def test_nan_route_fails(self, capsys, monkeypatch):
+        import polyosc.coherent as co
+
+        monkeypatch.setattr(co, "coherent_closed_form",
+                            lambda chain, z, dim=None: np.full(dim, np.nan + 0j))
+        rc, out, _ = run(capsys, [
+            "coherent", "--chain", "boson", "--dim", "6", "--z", "1", "0",
+            "--format", "json",
+        ])
+        assert rc == 1
+        assert json.loads(out)["pass"] is False
+
+    def test_numerical_failure_exits_one_without_traceback(self, capsys):
+        # the series route cannot settle at |z| = 6 on this chain
+        rc, out, err = run(capsys, [
+            "coherent", "--chain", "krawtchouk", "--p", "0.3", "--N", "80",
+            "--z", "6", "0",
+        ])
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
     def test_open_chain_needs_level_info(self, capsys):
         rc, _, err = run(capsys, ["coherent", "--z", "1.0", "0.0"])
         assert rc == 2
@@ -116,6 +139,21 @@ class TestMomentsCommand:
         assert payload["finite_support"] is True
         assert payload["supported_depth"] == 1
         assert payload["coefficients"] == [pytest.approx(1.0)]
+
+
+    def test_non_finite_moment_is_usage_error(self, capsys):
+        rc, out, err = run(capsys, ["moments", "--moments", "1,nan,3"])
+        assert rc == 2
+        assert out == ""
+        assert "finite" in err
+
+    def test_count_past_chain_depth_is_usage_error(self, capsys):
+        rc, _, err = run(capsys, [
+            "moments", "--chain", "krawtchouk", "--p", "0.3", "--N", "4",
+            "--count", "8",
+        ])
+        assert rc == 2
+        assert "exceeds the chain's depth 4" in err
 
 
 class TestRootsCommand:
@@ -184,6 +222,13 @@ class TestFormatsAndFiles:
         payload = json.loads(out)
         assert payload["chain"] == "three-level"
         assert payload["dim"] == 3
+
+    def test_non_finite_chain_file(self, capsys, tmp_path):
+        f = tmp_path / "chain.txt"
+        f.write_text("0.7 nan 0.9\n")
+        rc, _, err = run(capsys, ["spectrum", "--chain", str(f)])
+        assert rc == 2
+        assert "finite" in err
 
     def test_missing_chain_file(self, capsys):
         rc, _, err = run(capsys, ["spectrum", "--chain", "/no/such/file.json"])

@@ -90,6 +90,26 @@ class TestThreeWayAgreement:
             coherent_via_recurrence(TWO_LEVEL, 2.0, max_terms=3)
 
 
+class TestClosedFormAtScale:
+    # The closed form divides no factorials out of its sums, so it stays
+    # finite where (sqrt(2) b)! overflows float64; held to criterion 4's
+    # bounds against the exponential oracle.
+    @pytest.mark.parametrize("kind", ("boson-400", "krawtchouk-399"))
+    @pytest.mark.parametrize("r", (1.0, 6.0))
+    def test_matches_exponential(self, kind, r):
+        if kind == "boson-400":
+            ch, dim = boson_chain(400), 400
+        else:
+            ch, dim = krawtchouk.symmetric_chain(0.3, 399), None
+        z = r * np.exp(0.7j)
+        c = coherent_closed_form(ch, z, dim=dim)
+        e = coherent_via_exponential(ch, z, dim=dim)
+        assert np.all(np.isfinite(c))
+        ov = abs(np.vdot(e, c)) / (np.linalg.norm(e) * np.linalg.norm(c))
+        assert 1.0 - ov < 1e-7
+        assert abs(np.linalg.norm(c) - 1.0) < 1e-8
+
+
 class TestTransferTable:
     def test_hand_case_single_step(self):
         # b = (1, 0): d alternates between the levels with weight 2 b_0^2,
@@ -187,6 +207,7 @@ class TestIdentityLedger:
         lambda: (boson_chain(14), 10),
         lambda: (krawtchouk.symmetric_chain(0.3, 9), None),
         lambda: (krawtchouk.symmetric_chain(0.6, 8), None),
+        lambda: (boson_chain(201), 200),  # (2b^2)! past the float64 range
     ])
     def test_battery(self, maker):
         ch, d = maker()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from polyosc import krawtchouk as kr
-from polyosc.polyrec import eval_orthonormal
+from polyosc.polyrec import eval_orthonormal, node_table
 
 P_SAMPLES = (0.2, 0.5, 0.8)
 
@@ -35,6 +35,16 @@ class TestPolynomialTable:
             vals = np.atleast_1d(eval_orthonormal(ch, n, xs))
             den = np.maximum(1.0, np.abs(tab[n]))
             assert np.max(np.abs(vals - tab[n]) / den) < 1e-9
+
+    @pytest.mark.parametrize("p", P_SAMPLES + (0.3,))
+    @pytest.mark.parametrize("N", (1, 4, 9, 12))
+    def test_kernel_rows_match_hypergeometric_oracle(self, p, N):
+        # every orthonormal row of the chain at once, against kt_n(x)
+        xs = np.arange(N + 1, dtype=float)
+        rows = np.asarray(node_table(kr.recurrence_chain(p, N), N, xs, "orthonormal"), dtype=float)
+        ref = np.array([kr.ktilde(n, xs, p, N) for n in range(N + 1)])
+        den = np.maximum(1.0, np.abs(ref))
+        assert np.max(np.abs(rows - ref) / den) < 1e-9
 
     def test_self_duality(self):
         # The plain normalization K_n(x) = kt_n(x)/kt_n(0) is symmetric in

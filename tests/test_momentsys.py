@@ -29,6 +29,12 @@ def test_two_point_measure_exhausts_after_one_coefficient():
     assert "finite support" in str(exc.value)
 
 
+@pytest.mark.parametrize("moments", ([1.0, np.nan, 3.0], [1.0, 1.0, np.inf]))
+def test_non_finite_moments_rejected(moments):
+    with pytest.raises(ValueError, match="finite"):
+        MomentSequence(moments)
+
+
 def test_exhaustion_not_raised_when_enough():
     ch = coefficients_from_moments(two_point_even_moments(6), 1)
     assert ch.b.tolist() == pytest.approx([1.0])

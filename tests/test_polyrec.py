@@ -17,6 +17,7 @@ from polyosc import (
     roots,
     tilde_quadrature,
 )
+from polyosc.polyrec import node_table
 from conftest import random_truncated_chain
 
 b_values = st.lists(st.floats(0.3, 2.0), min_size=1, max_size=8)
@@ -44,6 +45,16 @@ class TestChainValidation:
     def test_2d_rejected(self):
         with pytest.raises(ChainError):
             RecurrenceCoefficients(b=[[1.0, 1.0]])
+
+    @pytest.mark.parametrize("b, a", [
+        ([1.0, np.nan], None),
+        ([1.0, np.inf, 0.0], None),
+        ([1.0, 2.0], [0.5, np.nan]),
+        ([1.0, 2.0], [-np.inf, 0.5]),
+    ])
+    def test_non_finite_rejected(self, b, a):
+        with pytest.raises(ChainError, match="finite"):
+            RecurrenceCoefficients(b=b, a=a)
 
     def test_signed_entries_allowed(self):
         ch = RecurrenceCoefficients(b=[-1.0, -2.0], a=[0.3, 0.7])
@@ -108,15 +119,35 @@ class TestEvaluation:
                 direct = np.polyval(coeffs[::-1], x)
                 assert eval_monic_tilde(ch, n, x) == pytest.approx(direct, rel=1e-10)
 
-    @given(b_values, st.floats(-2.5, 2.5))
-    def test_scaling_bridge(self, bs, y):
-        # psit_n(sqrt(2) y) == prod(sqrt(2) b_0..b_{n-1}) * psi_n(y)
+    @given(b_values, st.lists(st.floats(-2.5, 2.5), min_size=1, max_size=5))
+    def test_scaling_bridge(self, bs, ys):
+        # every kernel row: psit_l(sqrt(2) y) == prod(sqrt(2) b_0..b_{l-1}) * psi_l(y)
         ch = RecurrenceCoefficients(b=bs)
         n = ch.depth
-        left = eval_monic_tilde(ch, n, np.sqrt(2.0) * y)
-        fact = float(np.prod(np.sqrt(2.0) * ch.b[:n]))
-        right = fact * eval_orthonormal(ch, n, y)
-        assert left == pytest.approx(right, rel=1e-10, abs=1e-10)
+        y = np.array(ys)
+        psit = node_table(ch, n, np.sqrt(2.0) * y, "monic_tilde")
+        psi = node_table(ch, n, y, "orthonormal")
+        fact = np.concatenate(([1.0], np.cumprod(np.sqrt(2.0) * ch.b[:n])))
+        for l in range(n + 1):
+            left = np.asarray(psit[l], dtype=float)
+            right = fact[l] * np.asarray(psi[l], dtype=float)
+            assert left == pytest.approx(right, rel=1e-10, abs=1e-10), l
+
+    def test_eval_is_last_kernel_row(self, rng):
+        ch = random_truncated_chain(rng, max_levels=8)
+        xs = rng.uniform(-3, 3, 6)
+        n = ch.valid_depth
+        for norm, fn, top in (("orthonormal", eval_orthonormal, n),
+                              ("monic_tilde", eval_monic_tilde, n + 2)):
+            table = node_table(ch, top, xs, norm)
+            assert table.dtype == np.longdouble
+            assert table.shape == (top + 1, len(xs))
+            for l in range(top + 1):
+                assert np.array_equal(np.asarray(table[l], dtype=float), fn(ch, l, xs))
+
+    def test_kernel_rejects_unknown_normalization(self):
+        with pytest.raises(ValueError):
+            node_table(RecurrenceCoefficients(b=[1.0]), 1, 0.3, "monic")
 
     def test_orthonormal_rejects_degrees_past_truncation(self):
         ch = RecurrenceCoefficients(b=[1.0, 0.0])
