@@ -14,7 +14,8 @@ Output is plain text by default; --format json emits byte-stable JSON
 key,value table.  Exit status: 0 all checks within tolerance, 1 a tolerance
 was violated (NaN or inf included) or an ArithmeticError stopped the run, 2
 usage errors.  The default tolerance is 1e-8, overridable by --tol or the
-POLYOSC_TOL environment variable.
+POLYOSC_TOL environment variable; a tolerance that is not a positive finite
+number, from either source, is a usage error.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 
@@ -38,11 +40,25 @@ from .momentsys import MomentSequence, SupportExhaustedError, coefficients_from_
 from .polyrec import ChainError, roots as chain_roots
 
 
-def _default_tol() -> float:
+def _tolerance(text: str) -> float:
+    """A tolerance is a positive finite number; anything else is a usage error."""
     try:
-        return float(os.environ.get("POLYOSC_TOL", "1e-8"))
+        value = float(text)
     except ValueError:
-        return 1e-8
+        value = math.nan
+    if math.isfinite(value) and value > 0.0:
+        return value
+    raise argparse.ArgumentTypeError(
+        "tolerance must be a positive finite number, got %r" % text
+    )
+
+
+def _default_tol() -> float:
+    text = os.environ.get("POLYOSC_TOL", "1e-8")
+    try:
+        return _tolerance(text)
+    except argparse.ArgumentTypeError as err:
+        raise ValueError("POLYOSC_TOL: %s" % err) from None
 
 
 def _fmt(value):
@@ -218,8 +234,8 @@ def _krawtchouk_point(p, N, tol):
         "spectrum_deviation": spec_dev,
         "grid_spectrum_deviation": grid_dev,
         "ladder_commutator": kr.ladder_commutator_residual(osc),
-        "dual_orthogonality": max(d1, d2),
-        "grid_orthogonality": max(g1, g2),
+        "dual_orthogonality": worst_of(d1, d2),
+        "grid_orthogonality": worst_of(g1, g2),
         "difference_equation": kr.difference_equation_residual(p, N),
         "grid_factorization": kr.grid_factorization_residual(p, N),
         "grid_ladder_action": kr.grid_ladder_action_residual(p, N),
@@ -386,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(sp, chain=True):
-        sp.add_argument("--tol", type=float, default=_default_tol(),
+        sp.add_argument("--tol", type=_tolerance,
                         help="pass/fail tolerance (env POLYOSC_TOL, default 1e-8)")
         sp.add_argument("--format", choices=("text", "json", "csv"), default="text")
         sp.add_argument("--out", help="write the report to this file")
@@ -436,6 +452,8 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        if args.tol is None:
+            args.tol = _default_tol()
         payload, ok = args.fn(args)
     except (ValueError, ChainError, OSError) as err:
         print("error: %s" % err, file=sys.stderr)

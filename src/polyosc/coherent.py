@@ -34,8 +34,8 @@ import numpy as np
 
 from .polyrec import (
     RecurrenceCoefficients,
+    _finite_max,
     as_chain,
-    double_factorial_on_index,
     eval_monic_tilde,
     gauss_quadrature,
     node_table,
@@ -74,6 +74,13 @@ def _tilde_norms(b: np.ndarray, N: int) -> np.ndarray:
     """(2b^2_{l-1})! for l = 0..N as one longdouble cumulative product
     (it overflows float64 past l ~ 170 on the boson chain)."""
     return np.concatenate(([1.0], np.cumprod((2.0 * b[:N] ** 2).astype(_LD))))
+
+
+def _double_factorials(tb2: np.ndarray, start: int, count: int) -> np.ndarray:
+    """1, tb2[start], tb2[start] tb2[start+2], ... (count + 1 entries) as one
+    longdouble cumulative product; start = 1 gives (2b^2_{2p-1})!! at p, and
+    start = 0 gives 2b_0^2 2b_2^2 ... 2b_{2p-2}^2."""
+    return np.concatenate(([1.0], np.cumprod(tb2[start : start + 2 * count : 2].astype(_LD))))
 
 
 def _tilde_rule(b: np.ndarray, N: int):
@@ -326,26 +333,22 @@ def alternating_even_residual(chain, xs=None, dim: int | None = None) -> float:
         xs = np.linspace(-xmax, xmax, 41)
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     table = node_table(b, N + 1, xs, "monic_tilde")
-    dfac = np.array([double_factorial_on_index(tb2, 2 * p) for p in range(m + 1)])
+    dfac = _double_factorials(tb2, 1, m)
     rows = np.array([(-1.0) ** p * table[2 * p] / dfac[p] for p in range(m + 1)])
     lhs = xs * rows.sum(axis=0)
-    rhs = (-1.0) ** m * table[2 * m + 1] / double_factorial_on_index(tb2, 2 * m)
+    rhs = (-1.0) ** m * table[2 * m + 1] / dfac[m]
     scale = np.maximum(np.max(np.abs(rows * xs[None, :]), axis=0), np.abs(rhs))
     scale = np.maximum(scale, 1.0)
-    return float(np.max(np.abs(lhs - rhs) / scale))
+    return _finite_max(np.abs(lhs - rhs) / scale)
 
 
 def zero_value_residual(chain, dim: int | None = None) -> float:
     """Check psit_{2p}(0) = (-1)^p 2b_0^2 2b_2^2 ... 2b_{2p-2}^2 (even p steps)."""
     b, N = _truncation(chain, dim)
-    tb2 = 2.0 * b**2
-    worst = 0.0
-    table = node_table(b, N + 1, 0.0, "monic_tilde")
-    for p in range(0, (N + 1) // 2 + 1):
-        want = (-1.0) ** p * double_factorial_on_index(tb2, 2 * p - 1)
-        got = float(table[2 * p])
-        worst = max(worst, abs(got - want) / max(1.0, abs(want)))
-    return worst
+    P = (N + 1) // 2
+    got = node_table(b, N + 1, 0.0, "monic_tilde")[0::2]
+    want = (-1.0) ** np.arange(P + 1) * _double_factorials(2.0 * b**2, 0, P)
+    return _finite_max(np.abs(got - want) / np.maximum(1.0, np.abs(want)))
 
 
 def root_identity_residuals(chain, dim: int | None = None) -> dict:
@@ -387,7 +390,7 @@ def root_identity_residuals(chain, dim: int | None = None) -> dict:
 
     # combined form: plain off the diagonal, alternating on it
     comb = np.where(mask, cross / big, 0.0)
-    out["cross"] = float(max(np.max(comb), out["alternating"]))
+    out["cross"] = _finite_max([np.max(comb), out["alternating"]])
 
     if N % 2 == 0 and N >= 2:
         m = N // 2
@@ -398,7 +401,7 @@ def root_identity_residuals(chain, dim: int | None = None) -> dict:
         cbig = np.maximum(np.max(np.abs(rows), axis=0) * np.maximum(np.abs(x), 1.0), 1.0)
         out["center"] = float(np.max(np.abs(val) / cbig))
         # the equivalent alternating even form at nonzero roots
-        dfac = np.array([double_factorial_on_index(tb2, 2 * p) for p in range(m + 1)])
+        dfac = _double_factorials(tb2, 1, m)
         rows2 = np.array([(-1.0) ** p * table[2 * p] / dfac[p] for p in range(m + 1)])
         nz = np.abs(x) > 1e-9
         val2 = rows2.sum(axis=0)[nz]

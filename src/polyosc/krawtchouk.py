@@ -19,14 +19,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 from scipy.special import gammaln
 
 from .fockspace import OscillatorOperators, build_symmetric_oscillator, commutator
-from .polyrec import RecurrenceCoefficients
+from .polyrec import RecurrenceCoefficients, _finite_max
 
 _LD = np.longdouble
 
@@ -122,39 +121,43 @@ def symmetric_chain(p: float, N: int) -> RecurrenceCoefficients:
 
 @lru_cache(maxsize=64)
 def _ktilde_table_cached(p: float, N: int) -> np.ndarray:
-    """Exact-arithmetic kt table, rounded to float once at the end.
+    """Exact-arithmetic kt table, rounded to float once per entry.
 
     The three-term recurrence in the degree is *unstable* in floating
     point on parts of the lattice: where kt_n(x) is tiny (near a root) the
     wanted solution is dominated by the other branch and a forward pass can
-    lose every digit (observed: relative errors > 1e3 at N = 30).  Since a
-    float p is a rational number, the whole recurrence runs in Fraction
-    arithmetic instead, on the plain polynomials K_n normalized by
-    K_n(0) = 1,
+    lose every digit (observed: relative errors > 1e3 at N = 30).  A float
+    p is a rational m/D (D a power of two), so the recurrence of the plain
+    polynomials K_n, normalized by K_n(0) = 1,
 
         p (N-n) K_{n+1} = [p (N-n) + n (1-p) - x] K_n - n (1-p) K_{n-1},
 
-    and the orthonormalizing factor c_n = sqrt(C(N,n) (p/q)^n) is attached
-    on exit.  Each table entry then carries ~1 ulp of relative error.
+    runs exactly on Python ints once its denominators are cleared: with
+    r = D - m and K_n = A_n / d_n, d_n = m^n N!/(N-n)!,
+
+        A_{n+1} = [m (N-n) + n r - D x] A_n - n r m (N-n+1) A_{n-1},
+
+    from A_{-1} = 0, A_0 = 1.  No step divides or takes a gcd.  The entry
+    is c_n (A_n / d_n) with c_n = sqrt(C(N,n) m^n / r^n), the orthonormalizing
+    factor sqrt(C(N,n) (p/q)^n).  int / int true division is correctly
+    rounded, and so is float() of a Fraction, so every entry is bit-identical
+    to the same recurrence run in Fraction arithmetic and carries ~1 ulp of
+    relative error.
     """
-    pf = Fraction(p)
-    qf = 1 - pf
-    K = [Fraction(1)] * (N + 1)
-    rows = [K]
-    if N >= 1:
-        rows.append([1 - Fraction(x) / (pf * N) for x in range(N + 1)])
-    for n in range(1, N):
-        up, mid, low = pf * (N - n), pf * (N - n) + n * qf, n * qf
-        rows.append(
-            [
-                ((mid - x) * rows[n][x] - low * rows[n - 1][x]) / up
-                for x in range(N + 1)
-            ]
-        )
-    table = np.zeros((N + 1, N + 1))
+    m, D = p.as_integer_ratio()
+    r = D - m
+    Dx = D * np.arange(N + 1, dtype=object)
+    prev = np.zeros(N + 1, dtype=object)
+    cur = np.ones(N + 1, dtype=object)
+    d = 1
+    table = np.empty((N + 1, N + 1))
     for n in range(N + 1):
-        cn = math.sqrt(float(math.comb(N, n) * (pf / qf) ** n))
-        table[n] = [cn * float(v) for v in rows[n]]
+        cn = math.sqrt(math.comb(N, n) * m**n / r**n)
+        table[n] = cn * (cur / d).astype(float)
+        if n < N:
+            up = m * (N - n)
+            prev, cur = cur, (up + n * r - Dx) * cur - (n * r * m * (N - n + 1)) * prev
+            d *= up
     table.setflags(write=False)
     return table
 
@@ -196,22 +199,18 @@ def difference_equation_residual(p: float, N: int) -> float:
     """
     _check_pn(p, N)
     q = 1.0 - p
-    worst = 0.0
     table = ktilde_table(p, N)  # normalization in n drops out of the x-equation
-    for n in range(N + 1):
-        kn = np.concatenate(([0.0], table[n], [0.0]))
-        for x in range(N + 1):
-            terms = np.array(
-                [
-                    p * (N - x) * kn[x + 2],
-                    -(p * (N - x) + x * q) * kn[x + 1],
-                    x * q * kn[x],
-                    n * kn[x + 1],
-                ]
-            )
-            scale = max(1.0, float(np.max(np.abs(terms))))
-            worst = max(worst, abs(float(terms.sum())) / scale)
-    return worst
+    kn = np.pad(table, ((0, 0), (1, 1)))  # kn[n, x + 1] = kt_n(x), zero off the lattice
+    x = np.arange(N + 1, dtype=float)
+    n = x[:, None]  # the degree runs over the same range 0..N
+    terms = (
+        p * (N - x) * kn[:, 2:],
+        -(p * (N - x) + x * q) * kn[:, 1:-1],
+        x * q * kn[:, :-2],
+        n * kn[:, 1:-1],
+    )
+    scale = np.maximum(1.0, np.max(np.abs(terms), axis=0))
+    return _finite_max(np.abs(((terms[0] + terms[1]) + terms[2]) + terms[3]) / scale)
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +293,7 @@ def so3_residuals(k_plus, k_minus, k_zero) -> float:
     r1 = commutator(k_zero, k_plus) - k_plus
     r2 = commutator(k_zero, k_minus) + k_minus
     r3 = commutator(k_plus, k_minus) - 2.0 * k_zero
-    return float(max(np.max(np.abs(r)) for r in (r1, r2, r3)))
+    return _finite_max([np.max(np.abs(r)) for r in (r1, r2, r3)])
 
 
 # ---------------------------------------------------------------------------
@@ -386,15 +385,14 @@ def grid_ladder_action_residual(p: float, N: int) -> float:
     """Defect of A_plus Psi_n = sqrt((n+1)(N-n)) Psi_{n+1} (and the lowering mate)."""
     a_plus, a_minus = grid_ladders(p, N)
     psi = grid_functions(p, N)
-    n = np.arange(N, dtype=float)
-    up = np.sqrt((n + 1.0) * (N - n))
-    worst = 0.0
-    for k in range(N + 1):
-        want_up = up[k] * psi[k + 1] if k < N else np.zeros(N + 1)
-        worst = max(worst, float(np.max(np.abs(a_plus @ psi[k] - want_up))))
-        want_dn = up[k - 1] * psi[k - 1] if k > 0 else np.zeros(N + 1)
-        worst = max(worst, float(np.max(np.abs(a_minus @ psi[k] - want_dn))))
-    return worst
+    n = np.arange(N + 1, dtype=float)
+    padded = np.pad(psi, ((1, 1), (0, 0)))  # zero rows at levels -1 and N+1
+    want_up = np.sqrt((n + 1.0) * (N - n))[:, None] * padded[2:]
+    want_dn = np.sqrt(n * (N - n + 1.0))[:, None] * padded[:-2]
+    # column k of a @ psi.T is a applied to Psi_k
+    return _finite_max(
+        np.abs(np.concatenate((a_plus @ psi.T - want_up.T, a_minus @ psi.T - want_dn.T)))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -501,19 +499,20 @@ def difference_form_residual(p: float, N: int) -> float:
     a_plus, a_minus = grid_ladders(p, N)
     d_minus = difference_lowering_matrix(p, N)
     d_plus = difference_raising_matrix(p, N)
-    r = np.max(np.abs(d_minus - (a_minus * s[None, :]) / s[:, None]))
-    r = max(r, np.max(np.abs(d_plus - (a_plus * s[None, :]) / s[:, None])))
+    defects = [
+        np.abs(d_minus - (a_minus * s[None, :]) / s[:, None]),
+        np.abs(d_plus - (a_plus * s[None, :]) / s[:, None]),
+    ]
     kt_table = ktilde_table(p, N)  # rows: degree n
+    padded = np.pad(kt_table, ((1, 1), (0, 0)))  # zero rows at degrees -1 and N+1
     n = np.arange(N + 1, dtype=float)
     dn = -np.sqrt(n * (N - n + 1.0))
     up = -np.sqrt((n + 1.0) * (N - n))
     # table entries reach ~1e11 at (p, N) = (0.8, 30), so the ladder-action
-    # defect is measured relative to the largest summand feeding each entry
+    # defect is measured relative to the largest summand feeding each entry;
+    # row k of kt_table @ mat.T is mat applied to kt_k
     for mat, coef, shift in ((d_minus, dn, -1), (d_plus, up, +1)):
-        amat = np.abs(mat)
-        for k in range(N + 1):
-            row = k + shift
-            want = coef[k] * kt_table[row] if 0 <= row <= N else np.zeros(N + 1)
-            scale = np.maximum(1.0, np.maximum(amat @ np.abs(kt_table[k]), np.abs(want)))
-            r = max(r, np.max(np.abs(mat @ kt_table[k] - want) / scale))
-    return float(r)
+        want = coef[:, None] * padded[1 + shift : N + 2 + shift]
+        scale = np.maximum(1.0, np.maximum(np.abs(kt_table) @ np.abs(mat).T, np.abs(want)))
+        defects.append(np.abs(kt_table @ mat.T - want) / scale)
+    return max(_finite_max(d) for d in defects)

@@ -18,6 +18,7 @@ Jacobi-matrix eigenvalues, never by polynomial root finding.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -100,6 +101,13 @@ def as_chain(chain) -> RecurrenceCoefficients:
     if isinstance(chain, RecurrenceCoefficients):
         return chain
     return RecurrenceCoefficients(b=np.asarray(chain, dtype=float))
+
+
+def _finite_max(values) -> float:
+    """Largest entry as a float; +inf if any entry is NaN or inf (a running
+    max(worst, x) would drop a NaN and let it pass every bound)."""
+    values = np.asarray(values)
+    return float(np.max(values)) if np.isfinite(values).all() else math.inf
 
 
 def factorial_on_index(values, n: int) -> float:

@@ -242,10 +242,24 @@ class TestEnvironmentAndUsage:
         rc, _, _ = run(capsys, ["spectrum", "--format", "json"])
         assert rc == 1
 
-    def test_bad_env_value_falls_back(self, capsys, monkeypatch):
+    def test_bad_env_value_is_usage_error(self, capsys, monkeypatch):
         monkeypatch.setenv("POLYOSC_TOL", "not-a-number")
-        rc, _, _ = run(capsys, ["spectrum", "--format", "json"])
-        assert rc == 0
+        rc, out, err = run(capsys, ["spectrum", "--format", "json"])
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: POLYOSC_TOL")
+
+    @pytest.mark.parametrize("value", ("inf", "nan", "0", "-1e-8"))
+    def test_tolerance_must_be_positive_finite(self, capsys, monkeypatch, value):
+        # an infinite tolerance would pass every check
+        monkeypatch.setenv("POLYOSC_TOL", value)
+        rc, _, err = run(capsys, ["spectrum"])
+        assert rc == 2
+        assert "positive finite" in err
+        monkeypatch.delenv("POLYOSC_TOL")
+        with pytest.raises(SystemExit) as exc:
+            main(["spectrum", "--tol", value])
+        assert exc.value.code == 2
 
     def test_unknown_subcommand_exits_two(self):
         with pytest.raises(SystemExit) as exc:

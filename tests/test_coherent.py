@@ -8,6 +8,7 @@ from polyosc import (
     alternating_even_residual,
     alternating_square_residual,
     boson_chain,
+    coherent,
     coherent_closed_form,
     coherent_via_exponential,
     coherent_via_recurrence,
@@ -217,6 +218,29 @@ class TestIdentityLedger:
         assert zero_value_residual(ch, dim=dim) < 1e-12
         for key, val in root_identity_residuals(ch, dim=dim).items():
             assert val < 1e-12, key
+
+    def test_boson_dim_400(self):
+        # the double factorials 2^p p! leave the float64 range near p = 151
+        ch = boson_chain(400)
+        assert alternating_even_residual(ch, dim=400) < 1e-12
+        assert zero_value_residual(ch, dim=400) < 1e-12
+
+    def test_even_alt_past_float64(self):
+        # even truncation order N = 320 divides by 2^p p! up to p = 160
+        out = root_identity_residuals(boson_chain(321), dim=321)
+        assert out["even_alt"] < 1e-12
+
+    def test_non_finite_table_fails(self, monkeypatch):
+        real = coherent.node_table
+
+        def poisoned(*args):
+            out = np.array(real(*args))
+            out[4] = np.nan
+            return out
+
+        monkeypatch.setattr(coherent, "node_table", poisoned)
+        assert zero_value_residual(boson_chain(9), dim=9) == np.inf
+        assert alternating_even_residual(boson_chain(9), dim=9) == np.inf
 
     def test_even_truncation_extras_present(self):
         out = root_identity_residuals(krawtchouk.symmetric_chain(0.5, 6))

@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,50 @@ from polyosc import krawtchouk as kr
 from polyosc.polyrec import eval_orthonormal, node_table
 
 P_SAMPLES = (0.2, 0.5, 0.8)
+
+
+def fraction_table(p: float, N: int) -> np.ndarray:
+    """The kt table by the K_n recurrence in Fraction arithmetic (test oracle)."""
+    pf = Fraction(p)
+    qf = 1 - pf
+    K = [Fraction(1)] * (N + 1)
+    rows = [K]
+    if N >= 1:
+        rows.append([1 - Fraction(x) / (pf * N) for x in range(N + 1)])
+    for n in range(1, N):
+        up, mid, low = pf * (N - n), pf * (N - n) + n * qf, n * qf
+        rows.append(
+            [
+                ((mid - x) * rows[n][x] - low * rows[n - 1][x]) / up
+                for x in range(N + 1)
+            ]
+        )
+    table = np.zeros((N + 1, N + 1))
+    for n in range(N + 1):
+        cn = math.sqrt(float(math.comb(N, n) * (pf / qf) ** n))
+        table[n] = [cn * float(v) for v in rows[n]]
+    return table
+
+
+def loop_difference_equation_residual(p: float, N: int) -> float:
+    """The difference-equation residual one (n, x) entry at a time (test reference)."""
+    q = 1.0 - p
+    worst = 0.0
+    table = kr.ktilde_table(p, N)
+    for n in range(N + 1):
+        kn = np.concatenate(([0.0], table[n], [0.0]))
+        for x in range(N + 1):
+            terms = np.array(
+                [
+                    p * (N - x) * kn[x + 2],
+                    -(p * (N - x) + x * q) * kn[x + 1],
+                    x * q * kn[x],
+                    n * kn[x + 1],
+                ]
+            )
+            scale = max(1.0, float(np.max(np.abs(terms))))
+            worst = max(worst, abs(float(terms.sum())) / scale)
+    return worst
 
 
 class TestPolynomialTable:
@@ -45,6 +92,21 @@ class TestPolynomialTable:
         ref = np.array([kr.ktilde(n, xs, p, N) for n in range(N + 1)])
         den = np.maximum(1.0, np.abs(ref))
         assert np.max(np.abs(rows - ref) / den) < 1e-9
+
+    @pytest.mark.parametrize("p", (0.03, 0.2, 0.3000001, 0.5, 0.8, 0.97))
+    @pytest.mark.parametrize("N", (1, 2, 7, 30, 60))
+    def test_table_equals_fraction_oracle(self, p, N):
+        # the integer recurrence rounds each entry once, like the Fraction one
+        assert np.array_equal(kr.ktilde_table(p, N), fraction_table(p, N))
+
+    @pytest.mark.parametrize("p", (0.03, 0.97))
+    def test_large_table_is_finite(self, p):
+        # entries reach ~1e151 at N = 200
+        assert np.isfinite(kr.ktilde_table(p, 200)).all()
+
+    @pytest.mark.parametrize("p", (0.03, 0.97))
+    def test_large_table_difference_equation(self, p):
+        assert kr.difference_equation_residual(p, 200) < 1e-14
 
     def test_self_duality(self):
         # The plain normalization K_n(x) = kt_n(x)/kt_n(0) is symmetric in
@@ -98,6 +160,25 @@ class TestOrthogonality:
     def test_difference_equation(self):
         for p in P_SAMPLES:
             assert kr.difference_equation_residual(p, 16) < 1e-11
+
+    @pytest.mark.parametrize("p", (0.03, 0.3000001, 0.8))
+    @pytest.mark.parametrize("N", (1, 7, 30))
+    def test_difference_equation_matches_loop(self, p, N):
+        # same terms, scale and summation order: the values are equal
+        assert kr.difference_equation_residual(p, N) == loop_difference_equation_residual(p, N)
+
+    def test_non_finite_table_fails(self, monkeypatch):
+        real = kr.ktilde_table
+
+        def poisoned(p, N):
+            out = real(p, N)
+            out[3, 2] = np.nan
+            return out
+
+        monkeypatch.setattr(kr, "ktilde_table", poisoned)
+        assert kr.difference_equation_residual(0.3, 8) == np.inf
+        assert kr.grid_ladder_action_residual(0.3, 8) == np.inf
+        assert kr.difference_form_residual(0.3, 8) == np.inf
 
 
 class TestLatticeOscillator:
