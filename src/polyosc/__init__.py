@@ -32,7 +32,6 @@ from .momentsys import (
 )
 from .fockspace import (
     OscillatorOperators,
-    build_nonsymmetric_oscillator,
     build_symmetric_oscillator,
     commutator,
     expected_truncated_spectrum,
@@ -89,7 +88,6 @@ __all__ = [
     "two_point_even_moments",
     "verify_canonical_orthogonality",
     "OscillatorOperators",
-    "build_nonsymmetric_oscillator",
     "build_symmetric_oscillator",
     "commutator",
     "expected_truncated_spectrum",

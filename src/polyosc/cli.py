@@ -149,9 +149,7 @@ def cmd_spectrum(args):
     dim = args.dim
     if dim is None and not chain.truncated:
         dim = (args.N + 1) if args.N is not None else chain.depth + 1
-    ops = build_symmetric_oscillator(chain, dim=dim) if chain.symmetric else None
-    if ops is None:
-        raise ChainError("spectrum works on zero-diagonal chains; got a diagonal")
+    ops = build_symmetric_oscillator(chain, dim=dim)
     paired, _ = spectrum(ops)
     want = expected_truncated_spectrum(chain, dim=dim)
     dev = worst_of(np.abs(paired - want))

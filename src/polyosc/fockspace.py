@@ -1,19 +1,20 @@
 """Oscillator operators on the (truncated) state space of a recurrence chain.
 
-The chain b_0..b_N (diagonal a optional) defines, on basis |0>..|N>,
+A zero-diagonal chain b_0..b_N defines, on basis |0>..|N>,
 
-    X[n, n+1] = X[n+1, n] = b_n,        X[n, n] = a_n,
-    P[n+1, n] = -i b_n,  P[n, n+1] = +i b_n,   P[n, n] = a_n,
+    X[n, n+1] = X[n+1, n] = b_n,
+    P[n+1, n] = -i b_n,  P[n, n+1] = +i b_n,
 
-a Hamiltonian H = X^2 + P^2 which is exactly diagonal when a == 0, and
-ladders a_pm = (X -++ i P)/sqrt(2) with raising entries sqrt(2) b_n.  For a
-truncated chain (b_N = 0) the commutator [a_minus, a_plus] picks up a defect
--2 b_{N-1}^2 in the top corner on top of the interior 2(b_n^2 - b_{n-1}^2).
+a Hamiltonian H = X^2 + P^2 which is exactly diagonal, with
+lambda_n = 2(b_{n-1}^2 + b_n^2), and ladders a_pm = (X -++ i P)/sqrt(2) with
+raising entries sqrt(2) b_n.  For a truncated chain (b_N = 0) the commutator
+[a_minus, a_plus] picks up a defect -2 b_{N-1}^2 in the top corner on top of
+the interior 2(b_n^2 - b_{n-1}^2).
 
-build_nonsymmetric_oscillator starts instead from the self-adjoint
-combination M = X - P of a *complex-looking* build and recovers the same two
-operators by an entrywise real/imaginary split; it exists as an independent
-route to the same algebra and is cross-checked against the direct build.
+OscillatorOperators keeps only the band b_0..b_{dim-2}.  Its position,
+momentum, ladders and Hamiltonian are dense complex matrices built from the
+band each time they are read; nothing is cached, so a caller that needs one
+of them pays only for that one.
 """
 
 from __future__ import annotations
@@ -21,83 +22,86 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
-from .polyrec import RecurrenceCoefficients, as_chain
+from .polyrec import ChainError, as_chain
 
 
 @dataclass
 class OscillatorOperators:
-    """The operator quadruple (X, P, H, ladders) of one chain."""
+    """The operator quadruple (X, P, H, ladders) of one chain, kept as its band.
 
-    chain: RecurrenceCoefficients
-    position: np.ndarray
-    momentum: np.ndarray
-    hamiltonian: np.ndarray
-    lower: np.ndarray
-    raise_: np.ndarray
+    b holds b_0..b_{dim-2}; every operator is a dense view built on request.
+    """
+
+    b: np.ndarray
 
     @property
     def dim(self) -> int:
-        return self.position.shape[0]
+        return len(self.b) + 1
+
+    @property
+    def position(self) -> np.ndarray:
+        b = self.b
+        return np.zeros((self.dim, self.dim), dtype=complex) + np.diag(b, 1) + np.diag(b, -1)
+
+    @property
+    def momentum(self) -> np.ndarray:
+        b = self.b
+        return (
+            np.zeros((self.dim, self.dim), dtype=complex)
+            + 1j * np.diag(b, 1)
+            - 1j * np.diag(b, -1)
+        )
+
+    @property
+    def hamiltonian(self) -> np.ndarray:
+        # kept as the operator product, so spectrum() checks the algebra
+        X, P = self.position, self.momentum
+        return X @ X + P @ P
+
+    @property
+    def lower(self) -> np.ndarray:
+        return (self.position - 1j * self.momentum) / np.sqrt(2.0)
+
+    @property
+    def raise_(self) -> np.ndarray:
+        # with P's sign convention (+ib above, -ib below the diagonal) the
+        # combination X + iP wipes the superdiagonal: it raises
+        return (self.position + 1j * self.momentum) / np.sqrt(2.0)
 
     def number_operator(self) -> np.ndarray:
         return np.diag(np.arange(self.dim, dtype=float))
 
 
-def _dim_for(chain: RecurrenceCoefficients) -> int:
+def _dim_for(chain) -> int:
     # A truncated chain b_0..b_{N-1}, b_N = 0 acts on N+1 states; an open
     # chain of depth d gives the d+1 dimensional principal block.
     return chain.depth + 1 if not chain.truncated else chain.valid_depth + 1
 
 
 def build_symmetric_oscillator(chain, dim: int | None = None) -> OscillatorOperators:
-    """Direct construction of X, P, H = X^2 + P^2 and ladders from a chain."""
+    """The oscillator of a zero-diagonal chain on dim states (the band b_0..b_{dim-2})."""
     chain = as_chain(chain)
+    if not chain.symmetric:
+        raise ChainError("oscillator operators need a zero-diagonal chain; got a diagonal")
     n = _dim_for(chain) if dim is None else dim
     if n < 1:
         raise ValueError("dimension must be >= 1")
     if n - 1 > chain.depth:
         raise ValueError("chain of depth %d cannot fill %d states" % (chain.depth, n))
-    off = chain.b[: n - 1]
-    diag = np.zeros(n)
-    if chain.a is not None:
-        diag[: min(n, len(chain.a))] = chain.a[: min(n, len(chain.a))]
-    X = np.diag(diag).astype(complex) + np.diag(off, 1) + np.diag(off, -1)
-    P = np.diag(diag).astype(complex) + 1j * np.diag(off, 1) - 1j * np.diag(off, -1)
-    H = X @ X + P @ P
-    # with P's sign convention (+ib above, -ib below the diagonal) the
-    # combination X + iP wipes the superdiagonal: it raises
-    lower = (X - 1j * P) / np.sqrt(2.0)
-    raise_ = (X + 1j * P) / np.sqrt(2.0)
-    return OscillatorOperators(chain, X, P, H, lower, raise_)
-
-
-def build_nonsymmetric_oscillator(chain, dim: int | None = None) -> OscillatorOperators:
-    """Recover the oscillator from the combined matrix M = X - P.
-
-    M is self-adjoint with zero diagonal; its real part (entrywise) is the
-    position operator and -i times the entrywise imaginary part is the
-    momentum operator.  Mathematically equal to build_symmetric_oscillator
-    for a == 0 chains; kept as a separate code path so the two can be
-    compared in tests.
-    """
-    chain = as_chain(chain)
-    if not chain.symmetric:
-        raise ValueError("the split construction assumes a zero diagonal")
-    n = _dim_for(chain) if dim is None else dim
-    off = chain.b[: n - 1]
-    M = np.diag(off * (1.0 - 1j), 1) + np.diag(off * (1.0 + 1j), -1)  # X - P
-    X = M.real.astype(complex)
-    P = -1j * M.imag  # entrywise: recovers +i b above, -i b below the diagonal
-    H = X @ X + P @ P
-    lower = (X - 1j * P) / np.sqrt(2.0)
-    raise_ = (X + 1j * P) / np.sqrt(2.0)
-    return OscillatorOperators(chain, X, P, H, lower, raise_)
+    return OscillatorOperators(chain.b[: n - 1].copy())
 
 
 def commutator(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return A @ B - B @ A
+
+
+def _padded_band(b: np.ndarray, n: int) -> np.ndarray:
+    """(b_{-1}, b_0, .., b_{n-2}, b_{n-1}) with zeros at both ends: b_{-1} = 0
+    and nothing past the cut."""
+    padded = np.zeros(n + 1)
+    padded[1:n] = b[: n - 1]
+    return padded
 
 
 def ladder_commutator_defect(ops: OscillatorOperators) -> tuple[np.ndarray, np.ndarray]:
@@ -107,33 +111,27 @@ def ladder_commutator_defect(ops: OscillatorOperators) -> tuple[np.ndarray, np.n
     -2 b_{dim-2}^2 in the last slot (the truncation defect).
     """
     got = commutator(ops.lower, ops.raise_)
-    n = ops.dim
-    b = np.concatenate(([0.0], ops.chain.b[: n - 1], [0.0]))  # b_{-1}=0, pad
-    pred = np.zeros(n)
-    for k in range(n - 1):
-        pred[k] = 2.0 * (b[k + 1] ** 2 - b[k] ** 2)
-    pred[n - 1] = -2.0 * b[n - 1] ** 2
-    return got, np.diag(pred).astype(complex)
+    b2 = _padded_band(ops.b, ops.dim) ** 2
+    return got, np.diag(2.0 * (b2[1:] - b2[:-1])).astype(complex)
 
 
-def spectrum(ops: OscillatorOperators):
-    """Eigenvalues of H paired to number states by maximum overlap.
+def spectrum(ops):
+    """Eigenvalues of H, one per number state, and the number-state basis.
 
-    Returns (paired_values, vectors) with paired_values[n] the eigenvalue
-    whose eigenvector has the largest |<n|v>|^2, resolved globally with an
-    assignment solve so degenerate pairs (the truncated chains have
-    lambda_n = lambda_{N-n} type degeneracies) are handled consistently.
+    H = X^2 + P^2 of a zero-diagonal chain is exactly diagonal, so its
+    eigenvalues are its diagonal and the eigenvectors are |n>: returns
+    (H.diagonal().real, identity).  Raises ArithmeticError if an
+    off-diagonal entry of H is nonzero.
     """
     H = ops.hamiltonian
-    vals, vecs = np.linalg.eigh(H)
-    overlap = np.abs(vecs) ** 2  # overlap[n, j] = |<n | v_j>|^2
-    row, col = linear_sum_assignment(-overlap)
-    paired = np.empty_like(vals)
-    paired_vecs = np.empty_like(vecs)
-    for r, c in zip(row, col):
-        paired[r] = vals[c]
-        paired_vecs[:, r] = vecs[:, c]
-    return paired, paired_vecs
+    n = H.shape[0]
+    off = H[~np.eye(n, dtype=bool)]
+    if np.any(off != 0):
+        raise ArithmeticError(
+            "Hamiltonian is not diagonal: largest off-diagonal entry %.3e"
+            % float(np.max(np.abs(off)))
+        )
+    return H.diagonal().real.copy(), np.eye(n)
 
 
 def expected_truncated_spectrum(chain, dim: int | None = None) -> np.ndarray:
@@ -145,6 +143,5 @@ def expected_truncated_spectrum(chain, dim: int | None = None) -> np.ndarray:
     """
     chain = as_chain(chain)
     n = _dim_for(chain) if dim is None else dim
-    b = np.zeros(n + 1)
-    b[1:n] = chain.b[: n - 1]
-    return np.array([2.0 * (b[k] ** 2 + b[k + 1] ** 2) for k in range(n)])
+    b2 = _padded_band(chain.b, n) ** 2
+    return 2.0 * (b2[:-1] + b2[1:])

@@ -222,21 +222,33 @@ class LatticeOscillator:
     """Scaled oscillator of the symmetric lattice chain.
 
     hamiltonian has the exactly known spectrum N(n + 1/2) - n^2; the scaled
-    ladders obey [lower, raise] = N - 2 * number.
+    ladders obey [lower, raise] = N - 2 * number.  Like the bare operators
+    in ops, the scaled ones are built on request.
     """
 
     p: float
     N: int
     ops: OscillatorOperators
-    position: np.ndarray
-    momentum: np.ndarray
-    hamiltonian: np.ndarray
-    lower: np.ndarray
-    raise_: np.ndarray
 
     @property
     def dim(self) -> int:
         return self.N + 1
+
+    @property
+    def _unit(self) -> float:
+        return 2.0 * np.sqrt(self.p * (1.0 - self.p))
+
+    @property
+    def hamiltonian(self) -> np.ndarray:
+        return self.ops.hamiltonian / self._unit**2
+
+    @property
+    def lower(self) -> np.ndarray:
+        return np.sqrt(2.0) * self.ops.lower / self._unit
+
+    @property
+    def raise_(self) -> np.ndarray:
+        return np.sqrt(2.0) * self.ops.raise_ / self._unit
 
     def expected_spectrum(self) -> np.ndarray:
         n = np.arange(self.N + 1, dtype=float)
@@ -250,19 +262,7 @@ def build_lattice_oscillator(p: float, N: int) -> LatticeOscillator:
     4 p (1-p) (Hamiltonian) so the spectrum and commutators come out in
     integer units of the lattice.
     """
-    chain = symmetric_chain(p, N)
-    ops = build_symmetric_oscillator(chain)
-    s = 2.0 * np.sqrt(p * (1.0 - p))
-    return LatticeOscillator(
-        p=p,
-        N=N,
-        ops=ops,
-        position=ops.position,
-        momentum=ops.momentum,
-        hamiltonian=ops.hamiltonian / s**2,
-        lower=np.sqrt(2.0) * ops.lower / s,
-        raise_=np.sqrt(2.0) * ops.raise_ / s,
-    )
+    return LatticeOscillator(p=p, N=N, ops=build_symmetric_oscillator(symmetric_chain(p, N)))
 
 
 def ladder_commutator_residual(osc: LatticeOscillator) -> float:
@@ -402,20 +402,18 @@ def grid_ladder_action_residual(p: float, N: int) -> float:
 def polynomial_to_grid_map(p: float, N: int):
     """Unitary T (with its factors) mapping kt-side operators to grid-side.
 
-    T = V W U with U = diag((-1)^n) (sign flip), W = identity (the grid
-    relabeling is trivial in index coordinates), V = Psi^T.  Explicitly
+    T = V U with U = diag((-1)^n) (sign flip) and V = Psi^T.  Explicitly
     T[j, n] = sqrt(rho(j)) kt_n(j); T is real orthogonal, and
 
         T K_pm T^{-1} = A_pm,   T K_0 T^{-1} = H_grid - (N+1)/2,
         T^{-1} H_grid T = diag(n + 1/2).
 
-    Returns (T, U, W, V).
+    Returns (T, U, V).
     """
     psi = grid_functions(p, N)
     U = np.diag((-1.0) ** np.arange(N + 1))
-    W = np.eye(N + 1)
     V = psi.T
-    return V @ W @ U, U, W, V
+    return V @ U, U, V
 
 
 def transport_residual(p: float, N: int) -> float:

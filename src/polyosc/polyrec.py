@@ -228,9 +228,10 @@ def jacobi_matrix(chain, size: int) -> np.ndarray:
 class RootSet:
     """Roots of the degree-`degree` monic tilde polynomial of a chain.
 
-    x is sorted ascending; residuals[k] = |psit_degree(x[k])| and scale is the
-    largest monomial-coefficient magnitude of psit_degree, so residual/scale
-    is the meaningful relative quantity.
+    x is sorted ascending.  residuals[k] = ||J v_k - y_k v_k||_2 is the
+    backward error of the k-th eigenpair (y_k, v_k) of the Jacobi matrix J
+    (x = sqrt(2) y, unit v_k), and scale = max|y| = ||J||_2 (1 when J = 0),
+    so residual/scale is the meaningful relative quantity.
     """
 
     x: np.ndarray
@@ -247,29 +248,27 @@ def roots(chain, degree: int, residual_tol: float = 1e-8) -> RootSet:
 
     psit_degree(sqrt(2) y) is proportional to the orthonormal psi_degree(y), so
     the roots are sqrt(2) times the eigenvalues of the degree x degree Jacobi
-    matrix.  Raises if a computed residual exceeds residual_tol * scale.
+    matrix.  Raises if an eigenpair residual exceeds residual_tol * scale (or
+    is not finite).
     """
     chain = as_chain(chain)
     if not chain.symmetric:
         raise ChainError("root sets are defined through the symmetric tilde family")
     if degree < 1:
         raise ValueError("degree must be >= 1")
-    if degree == 1:
-        nodes = np.zeros(1)
-    else:
-        off = chain.b[: degree - 1]
-        nodes = eigh_tridiagonal(np.zeros(degree), off, eigvals_only=True)
-    x = np.sqrt(2.0) * np.sort(nodes)
-    res = np.abs(eval_monic_tilde(chain, degree, x))
-    res = np.atleast_1d(res)
-    coeffs = monic_tilde_coefficients(chain, degree)
-    scale = float(np.max(np.abs(coeffs)))
-    if np.any(res > residual_tol * scale):
+    off = chain.b[: degree - 1]
+    y, v = eigh_tridiagonal(np.zeros(degree), off)  # ascending eigenvalues
+    Jv = np.zeros_like(v)
+    Jv[:-1] = off[:, None] * v[1:]
+    Jv[1:] += off[:, None] * v[:-1]
+    res = np.linalg.norm(Jv - v * y, axis=0)
+    scale = float(np.max(np.abs(y))) or 1.0
+    if not np.all(res <= residual_tol * scale):
         raise ArithmeticError(
-            "root residual %.3e exceeds %.1e of coefficient scale %.3e"
-            % (float(res.max()), residual_tol, scale)
+            "root residual %.3e exceeds %.1e of the Jacobi norm %.3e"
+            % (float(np.max(res)), residual_tol, scale)
         )
-    return RootSet(x=x, residuals=res, degree=degree, scale=scale)
+    return RootSet(x=np.sqrt(2.0) * y, residuals=res, degree=degree, scale=scale)
 
 
 def _refined_gauss_rule(chain, diag, off, vals):

@@ -176,6 +176,19 @@ class TestRootsCommand:
         assert rc == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("args", [
+        ["--chain", "boson", "--depth", "60", "--degree", "40"],
+        ["--chain", "boson", "--depth", "200", "--degree", "150"],
+        ["--chain", "krawtchouk", "--p", "0.3", "--N", "24"],
+        ["--chain", "krawtchouk", "--p", "0.3", "--N", "60"],
+        ["--chain", "krawtchouk", "--p", "0.3", "--N", "100"],
+        ["--chain", "krawtchouk", "--p", "0.3", "--N", "400"],
+    ])
+    def test_deep_chains_pass(self, capsys, args):
+        rc, out, err = run(capsys, ["roots", *args, "--format", "json"])
+        assert rc == 0, err
+        assert json.loads(out)["pass"] is True
+
 
 class TestFormatsAndFiles:
     def test_csv_format(self, capsys):
@@ -222,6 +235,13 @@ class TestFormatsAndFiles:
         payload = json.loads(out)
         assert payload["chain"] == "three-level"
         assert payload["dim"] == 3
+
+    def test_chain_with_diagonal_is_usage_error(self, capsys, tmp_path):
+        f = tmp_path / "chain.json"
+        f.write_text(json.dumps({"b": [1.0, 0.5, 0.0], "a": [0.0, 0.2, 0.0]}))
+        rc, _, err = run(capsys, ["spectrum", "--chain", str(f)])
+        assert rc == 2
+        assert "zero-diagonal" in err
 
     def test_non_finite_chain_file(self, capsys, tmp_path):
         f = tmp_path / "chain.txt"

@@ -1,21 +1,57 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from polyosc import (
+    ChainError,
     RecurrenceCoefficients,
     boson_chain,
-    build_nonsymmetric_oscillator,
     build_symmetric_oscillator,
     commutator,
     expected_truncated_spectrum,
     ladder_commutator_defect,
     spectrum,
 )
+import polyosc
+from polyosc import krawtchouk as kr
 from conftest import random_truncated_chain
 
 b_values = st.lists(st.floats(0.3, 2.0), min_size=1, max_size=7)
+
+VIEWS = ("position", "momentum", "hamiltonian", "lower", "raise_")
+
+
+def dense_oscillator(chain, dim):
+    """The operators built as dense matrices up front (test oracle).
+
+    Returns {view name: matrix} for the zero-diagonal chain on dim states.
+    """
+    off = chain.b[: dim - 1]
+    diag = np.zeros(dim)
+    X = np.diag(diag).astype(complex) + np.diag(off, 1) + np.diag(off, -1)
+    P = np.diag(diag).astype(complex) + 1j * np.diag(off, 1) - 1j * np.diag(off, -1)
+    H = X @ X + P @ P
+    lower = (X - 1j * P) / np.sqrt(2.0)
+    raise_ = (X + 1j * P) / np.sqrt(2.0)
+    return dict(position=X, momentum=P, hamiltonian=H, lower=lower, raise_=raise_)
+
+
+def dense_lattice_oscillator(p, N):
+    """The lattice operators rescaled from the dense oracle (test oracle)."""
+    ops = dense_oscillator(kr.symmetric_chain(p, N), N + 1)
+    s = 2.0 * np.sqrt(p * (1.0 - p))
+    return dict(
+        hamiltonian=ops["hamiltonian"] / s**2,
+        lower=np.sqrt(2.0) * ops["lower"] / s,
+        raise_=np.sqrt(2.0) * ops["raise_"] / s,
+    )
 
 
 def test_boson_hamiltonian_is_odd_integers():
@@ -64,12 +100,58 @@ def test_commutator_defect_prediction(bs):
     assert np.max(np.abs(got - pred)) < 1e-12
 
 
-def test_split_construction_matches_symmetric(rng):
-    ch = random_truncated_chain(rng)
-    sym = build_symmetric_oscillator(ch)
-    non = build_nonsymmetric_oscillator(ch)
-    for name in ("position", "momentum", "hamiltonian", "lower", "raise_"):
-        assert np.array_equal(getattr(sym, name), getattr(non, name)), name
+class TestViewsMatchDenseOracle:
+    def test_random_chains(self, rng):
+        for _ in range(25):
+            ch = random_truncated_chain(rng, max_levels=30)
+            dim = ch.valid_depth + 1
+            ops = build_symmetric_oscillator(ch)
+            want = dense_oscillator(ch, dim)
+            for name in VIEWS:
+                assert np.array_equal(getattr(ops, name), want[name]), name
+
+    def test_open_chain_window(self):
+        ch = boson_chain(40)
+        for dim in (1, 2, 17, 41):
+            ops = build_symmetric_oscillator(ch, dim=dim)
+            want = dense_oscillator(ch, dim)
+            for name in VIEWS:
+                assert np.array_equal(getattr(ops, name), want[name]), (dim, name)
+
+    @pytest.mark.parametrize("p", (0.3, 0.5, 0.83))
+    def test_krawtchouk(self, p):
+        for N in range(1, 41):
+            ops = build_symmetric_oscillator(kr.symmetric_chain(p, N))
+            want = dense_oscillator(kr.symmetric_chain(p, N), N + 1)
+            for name in VIEWS:
+                assert np.array_equal(getattr(ops, name), want[name]), (N, name)
+            osc = kr.build_lattice_oscillator(p, N)
+            want = dense_lattice_oscillator(p, N)
+            for name in ("hamiltonian", "lower", "raise_"):
+                assert np.array_equal(getattr(osc, name), want[name]), (N, name)
+
+
+def test_nonzero_diagonal_rejected():
+    ch = RecurrenceCoefficients(b=[1.0, 1.5, 0.0], a=[0.0, 0.2, 0.0])
+    with pytest.raises(ChainError):
+        build_symmetric_oscillator(ch)
+
+
+def test_import_skips_scipy_optimize():
+    code = "import sys, polyosc; print('scipy.optimize' in sys.modules)"
+    src = str(Path(polyosc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env, timeout=60).stdout
+    assert out.strip() == "False"
+
+
+def test_spectrum_rejects_off_diagonal_hamiltonian():
+    H = np.diag([1.0, 3.0, 5.0]).astype(complex)
+    H[0, 2] = 1e-300
+    with pytest.raises(ArithmeticError):
+        spectrum(SimpleNamespace(hamiltonian=H))
 
 
 def test_spectrum_matches_prediction(rng):

@@ -238,7 +238,7 @@ class TestIntertwiner:
     @pytest.mark.parametrize("p", P_SAMPLES)
     @pytest.mark.parametrize("N", (1, 7, 20))
     def test_transport(self, p, N):
-        T, _, _, _ = kr.polynomial_to_grid_map(p, N)
+        T, _, _ = kr.polynomial_to_grid_map(p, N)
         assert np.max(np.abs(T.T @ T - np.eye(N + 1))) < 1e-12
         assert kr.transport_residual(p, N) < 1e-11
 

@@ -17,6 +17,7 @@ from polyosc import (
     roots,
     tilde_quadrature,
 )
+from polyosc import krawtchouk_chain, polyrec
 from polyosc.polyrec import node_table
 from conftest import random_truncated_chain
 
@@ -200,6 +201,27 @@ class TestRoots:
             ch = RecurrenceCoefficients(b=[0.9, 1.4])
         vals = np.linalg.eigvalsh(jacobi_matrix(ch, deg))
         assert np.allclose(np.sort(np.sqrt(2.0) * vals), roots(ch, deg).x, atol=1e-9)
+
+    def test_backward_error_is_small_at_depth(self):
+        for ch, deg in ((boson_chain(200), 150), (krawtchouk_chain(0.3, 400), 401)):
+            rs = roots(ch, deg)
+            assert np.max(rs.residuals / rs.scale) < 1e-14
+
+    @pytest.mark.parametrize("chain, deg", [
+        (boson_chain(60), 40),
+        (krawtchouk_chain(0.3, 24), 25),
+        (RecurrenceCoefficients(b=[0.9, 1.4, 0.0]), 3),
+    ])
+    def test_perturbed_eigenvalues_rejected(self, monkeypatch, chain, deg):
+        real = polyrec.eigh_tridiagonal
+
+        def perturbed(d, e):
+            vals, vecs = real(d, e)
+            return vals * (1.0 + 1e-6), vecs
+
+        monkeypatch.setattr(polyrec, "eigh_tridiagonal", perturbed)
+        with pytest.raises(ArithmeticError):
+            roots(chain, deg)
 
 
 class TestQuadrature:
