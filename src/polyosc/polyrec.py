@@ -14,12 +14,18 @@ They are related by a sqrt(2) change of variable,
 where fact_idx is the index-factorial below.  Every value of either family
 comes from one kernel, node_table.  Roots are always computed as
 Jacobi-matrix eigenvalues, never by polynomial root finding.
+
+A Gauss rule depends only on its Jacobi window, never on the point where it
+is used, so the Newton-polished rule is memoized per process on the exact
+float64 bytes of that window (diagonal and off-diagonal); callers of
+gauss_quadrature get copies, so the cached arrays are never shared.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -256,6 +262,11 @@ def roots(chain, degree: int, residual_tol: float = 1e-8) -> RootSet:
         raise ChainError("root sets are defined through the symmetric tilde family")
     if degree < 1:
         raise ValueError("degree must be >= 1")
+    if degree - 1 > chain.depth:
+        raise ChainError(
+            "degree %d needs b_0..b_%d, past the chain's depth %d"
+            % (degree, degree - 2, chain.depth)
+        )
     off = chain.b[: degree - 1]
     y, v = eigh_tridiagonal(np.zeros(degree), off)  # ascending eigenvalues
     Jv = np.zeros_like(v)
@@ -271,7 +282,7 @@ def roots(chain, degree: int, residual_tol: float = 1e-8) -> RootSet:
     return RootSet(x=np.sqrt(2.0) * y, residuals=res, degree=degree, scale=scale)
 
 
-def _refined_gauss_rule(chain, diag, off, vals):
+def _refined_gauss_rule(diag, off, vals):
     """Newton-polish Golub-Welsch nodes in extended precision.
 
     The float64 eigenvalues are accurate to ~1e-12 absolute, which is not
@@ -300,8 +311,25 @@ def _refined_gauss_rule(chain, diag, off, vals):
             )
         y = y - pv / dv
     # cumsum keeps a sequential degree-order sum: moment recovery is sensitive to its rounding
-    total = np.cumsum(node_table(chain, n - 1, y, "orthonormal") ** 2, axis=0)[-1]
+    window = RecurrenceCoefficients(b=off, a=diag[: n - 1])
+    total = np.cumsum(node_table(window, n - 1, y, "orthonormal") ** 2, axis=0)[-1]
     return y, 1.0 / total
+
+
+@lru_cache(maxsize=64)
+def _polished_rule(diag_bytes: bytes, off_bytes: bytes):
+    """Golub-Welsch nodes of one Jacobi window, Newton-polished; read-only.
+
+    The key is the exact float64 bytes of the window, so two chains sharing
+    the leading entries share the rule and a changed entry is a new key.
+    """
+    diag = np.frombuffer(diag_bytes)
+    off = np.frombuffer(off_bytes)
+    vals = eigh_tridiagonal(diag, off, eigvals_only=True)
+    y, w = _refined_gauss_rule(diag, off, np.sort(vals))
+    y.setflags(write=False)
+    w.setflags(write=False)
+    return y, w
 
 
 def gauss_quadrature(chain, npoints: int):
@@ -312,11 +340,18 @@ def gauss_quadrature(chain, npoints: int):
     polynomials of degree <= 2*npoints - 1.  When every off-diagonal in the
     window is positive the rule is returned Newton-polished in extended
     precision (longdouble arrays); the degenerate fallback keeps the plain
-    eigenvector-component weights.
+    eigenvector-component weights.  The polished rule is memoized per
+    process on the exact bytes of the npoints window (64 windows are kept),
+    and each call returns fresh copies.
     """
     chain = as_chain(chain)
     if npoints < 1:
         raise ValueError("need at least one quadrature point")
+    if npoints - 1 > chain.depth:
+        raise ChainError(
+            "%d points need b_0..b_%d, past the chain's depth %d"
+            % (npoints, npoints - 2, chain.depth)
+        )
     if npoints == 1:
         a0 = 0.0 if chain.a is None or len(chain.a) == 0 else float(chain.a[0])
         return (
@@ -328,8 +363,8 @@ def gauss_quadrature(chain, npoints: int):
         diag[: min(npoints, len(chain.a))] = chain.a[:npoints]
     off = chain.b[: npoints - 1]
     if np.all(off > 0):
-        vals = eigh_tridiagonal(diag, off, eigvals_only=True)
-        return _refined_gauss_rule(chain, diag, off, np.sort(vals))
+        y, w = _polished_rule(diag.tobytes(), off.tobytes())
+        return y.copy(), w.copy()
     vals, vecs = eigh_tridiagonal(diag, off)
     order = np.argsort(vals)
     return vals[order], vecs[0, order] ** 2

@@ -176,6 +176,13 @@ class TestRootsCommand:
         assert rc == 2
         assert "error:" in err
 
+    def test_degree_past_chain_depth_is_usage_error(self, capsys):
+        rc, _, err = run(capsys, [
+            "roots", "--chain", "boson", "--depth", "5", "--degree", "40",
+        ])
+        assert rc == 2
+        assert "degree 40 needs b_0..b_38, past the chain's depth 5" in err
+
     @pytest.mark.parametrize("args", [
         ["--chain", "boson", "--depth", "60", "--degree", "40"],
         ["--chain", "boson", "--depth", "200", "--degree", "150"],

@@ -223,6 +223,11 @@ class TestRoots:
         with pytest.raises(ArithmeticError):
             roots(chain, deg)
 
+    def test_degree_past_depth_names_the_depth(self):
+        assert len(roots(boson_chain(5), 6)) == 6
+        with pytest.raises(ChainError, match="past the chain's depth 5"):
+            roots(boson_chain(5), 40)
+
 
 class TestQuadrature:
     def test_gaussian_moments_of_half_scale_chain(self):
@@ -289,3 +294,109 @@ class TestQuadrature:
                 exact = float(vec[0])
                 got = float(np.sum(w * nodes**k))
                 assert got == pytest.approx(exact, rel=1e-15)
+
+    def test_points_past_depth_name_the_depth(self):
+        assert len(gauss_quadrature(boson_chain(5), 6)[0]) == 6
+        before = polyrec._polished_rule.cache_info()
+        with pytest.raises(ChainError, match="past the chain's depth 5"):
+            gauss_quadrature(boson_chain(5), 40)
+        assert polyrec._polished_rule.cache_info() == before
+
+
+def fresh_rule(chain, npoints):
+    """The polished rule of the chain's npoints window, bypassing the cache."""
+    diag = np.zeros(npoints)
+    if chain.a is not None:
+        diag[: min(npoints, len(chain.a))] = chain.a[:npoints]
+    off = chain.b[: npoints - 1]
+    return polyrec._polished_rule.__wrapped__(diag.tobytes(), off.tobytes())
+
+
+def assert_rule_equal(got, want):
+    assert all(np.array_equal(g, f) for g, f in zip(got, want))
+
+
+class TestRuleCache:
+    """gauss_quadrature memoizes the polished rule on the window's bytes."""
+
+    def assert_cached_rule_is_fresh(self, chain, npoints):
+        want = fresh_rule(chain, npoints)
+        # the weight pass on the whole chain, as before the rule was cached
+        table = node_table(chain, npoints - 1, want[0], "orthonormal")
+        assert np.array_equal(want[1], 1.0 / np.cumsum(table**2, axis=0)[-1])
+        for _ in range(2):  # a miss or a hit, then certainly a hit
+            assert_rule_equal(gauss_quadrature(chain, npoints), want)
+
+    @pytest.mark.parametrize("dims", [range(2, 80), range(80, 401, 9), [399, 400]])
+    def test_boson_windows(self, dims):
+        chain = boson_chain(400)
+        for dim in dims:
+            self.assert_cached_rule_is_fresh(chain, dim)
+
+    @pytest.mark.parametrize("p", [0.3000001, 0.7])
+    @pytest.mark.parametrize("N", [1, 2, 24, 99, 149, 400])
+    def test_krawtchouk_chains(self, p, N):
+        self.assert_cached_rule_is_fresh(krawtchouk_chain(p, N), N + 1)
+
+    @pytest.mark.parametrize("N", [1, 7, 40])
+    def test_recurrence_chain_diagonal(self, N):
+        from polyosc.krawtchouk import recurrence_chain
+
+        chain = recurrence_chain(0.3, N)
+        # b < 0 takes the eigenvector fallback, which is not cached ...
+        before = polyrec._polished_rule.cache_info().currsize
+        gauss_quadrature(chain, N + 1)
+        assert polyrec._polished_rule.cache_info().currsize == before
+        # ... and |b| (the same measure) reaches the cache with the diagonal
+        self.assert_cached_rule_is_fresh(
+            RecurrenceCoefficients(b=np.abs(chain.b), a=chain.a), N + 1
+        )
+
+    def test_random_chains(self, rng):
+        for k in range(20):
+            chain = random_truncated_chain(rng, max_levels=30)
+            if k % 2:
+                chain = RecurrenceCoefficients(b=chain.b, a=rng.normal(size=chain.depth))
+            npoints = int(rng.integers(2, chain.valid_depth + 2))
+            self.assert_cached_rule_is_fresh(chain, npoints)
+
+    def test_cached_arrays_are_read_only(self):
+        y, w = polyrec._polished_rule(np.zeros(3).tobytes(), np.ones(2).tobytes())
+        assert not y.flags.writeable and not w.flags.writeable
+
+    def test_in_place_mutation_is_a_new_window(self):
+        chain = boson_chain(12)
+        gauss_quadrature(chain, 10)
+        chain.b[3] *= 1.5
+        assert_rule_equal(gauss_quadrature(chain, 10), fresh_rule(chain, 10))
+
+    def test_writing_into_a_result_leaves_the_cache_intact(self):
+        chain = boson_chain(12)
+        y, w = gauss_quadrature(chain, 10)
+        y[:] = 0.0
+        w[0] = 5.0
+        assert_rule_equal(gauss_quadrature(chain, 10), fresh_rule(chain, 10))
+
+    def test_shared_window_is_one_entry(self):
+        polyrec._polished_rule.cache_clear()
+        gauss_quadrature(boson_chain(50), 20)
+        gauss_quadrature(boson_chain(100), 20)
+        info = polyrec._polished_rule.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+
+    def test_closed_form_polishes_once_per_chain(self, monkeypatch):
+        from polyosc import coherent_closed_form
+
+        calls = []
+        real = polyrec._refined_gauss_rule
+
+        def counted(*args):
+            calls.append(len(args[0]))
+            return real(*args)
+
+        monkeypatch.setattr(polyrec, "_refined_gauss_rule", counted)
+        polyrec._polished_rule.cache_clear()
+        chain = boson_chain(40)
+        coherent_closed_form(chain, 0.4 + 0.3j, dim=30)
+        coherent_closed_form(chain, -1.2j, dim=30)
+        assert calls == [30]  # one 30-point rule for dim 30
