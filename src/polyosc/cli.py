@@ -29,6 +29,7 @@ import os
 import sys
 
 import numpy as np
+from scipy.linalg import eigvalsh_tridiagonal
 
 from . import __version__
 from . import coherent as co
@@ -209,21 +210,15 @@ def cmd_coherent(args):
 
 def _krawtchouk_point(p, N, tol):
     osc = kr.build_lattice_oscillator(p, N)
-    spec_dev = float(
-        np.max(
-            np.abs(
-                np.linalg.eigvalsh(osc.hamiltonian) - np.sort(osc.expected_spectrum())
-            )
-        )
-    )
-    grid_dev = float(
-        np.max(
-            np.abs(
-                np.linalg.eigvalsh(kr.grid_hamiltonian(p, N))
-                - (np.arange(N + 1) + 0.5)
-            )
-        )
-    )
+    # The lattice H is diagonal: spectrum reads the diagonal of the scaled
+    # H (raising on a nonzero off-diagonal), the values dense eigvalsh
+    # returns.  The grid H is tridiagonal: sterf is the root-free QL/QR
+    # that dense eigvalsh runs after its (here trivial) reduction.
+    lattice_levels = np.sort(spectrum(osc)[0])
+    spec_dev = float(np.max(np.abs(lattice_levels - np.sort(osc.expected_spectrum()))))
+    H_grid = kr.grid_hamiltonian(p, N)
+    grid_levels = eigvalsh_tridiagonal(np.diag(H_grid), np.diag(H_grid, 1), lapack_driver="sterf")
+    grid_dev = float(np.max(np.abs(grid_levels - (np.arange(N + 1) + 0.5))))
     d1, d2 = kr.dual_orthogonality_residuals(p, N)
     g1, g2 = kr.grid_orthogonality_residuals(p, N)
     res = {

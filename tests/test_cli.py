@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from polyosc.cli import _parse_sweep, main
+from polyosc import krawtchouk as kr
+from polyosc.cli import _krawtchouk_point, _parse_sweep, main
 
 
 def run(capsys, argv):
@@ -76,6 +77,34 @@ class TestDeterminism:
             _parse_sweep("p=0.1:0.5")
         with pytest.raises(ValueError):
             _parse_sweep("p=0.5:0.1:-0.2")
+
+
+class TestKrawtchoukSpectra:
+    @pytest.mark.parametrize("p", (0.1, 0.4123457, 0.9))
+    @pytest.mark.parametrize("N", (1, 2, 5, 24, 96))
+    def test_banded_spectra_equal_dense_eigvalsh(self, p, N):
+        row = _krawtchouk_point(p, N, 1e-8)
+        osc = kr.build_lattice_oscillator(p, N)
+        lattice = np.linalg.eigvalsh(osc.hamiltonian)
+        grid = np.linalg.eigvalsh(kr.grid_hamiltonian(p, N))
+        assert row["spectrum_deviation"] == float(
+            np.max(np.abs(lattice - np.sort(osc.expected_spectrum())))
+        )
+        assert row["grid_spectrum_deviation"] == float(
+            np.max(np.abs(grid - (np.arange(N + 1) + 0.5)))
+        )
+
+    def test_off_diagonal_lattice_hamiltonian_fails(self, capsys, monkeypatch):
+        def broken(self):
+            H = self.ops.hamiltonian / self._unit**2
+            H[0, 1] = H[1, 0] = 1e-3
+            return H
+
+        monkeypatch.setattr(kr.LatticeOscillator, "hamiltonian", property(broken))
+        rc, out, err = run(capsys, ["krawtchouk", "--p", "0.4", "--N", "6"])
+        assert rc == 1
+        assert out == ""
+        assert "not diagonal" in err
 
 
 class TestCoherentCommand:

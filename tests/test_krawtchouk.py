@@ -33,6 +33,29 @@ def fraction_table(p: float, N: int) -> np.ndarray:
     return table
 
 
+def full_recurrence_table(p: float, N: int) -> np.ndarray:
+    """The kt table by the integer recurrence over every column (test oracle).
+
+    The build before the self-dual mirror: every row runs A_n(x) for all
+    x = 0..N and scales it by c_n.
+    """
+    m, D = p.as_integer_ratio()
+    r = D - m
+    Dx = D * np.arange(N + 1, dtype=object)
+    prev = np.zeros(N + 1, dtype=object)
+    cur = np.ones(N + 1, dtype=object)
+    d = 1
+    table = np.empty((N + 1, N + 1))
+    for n in range(N + 1):
+        cn = math.sqrt(math.comb(N, n) * m**n / r**n)
+        table[n] = cn * (cur / d).astype(float)
+        if n < N:
+            up = m * (N - n)
+            prev, cur = cur, (up + n * r - Dx) * cur - (n * r * m * (N - n + 1)) * prev
+            d *= up
+    return table
+
+
 def loop_difference_equation_residual(p: float, N: int) -> float:
     """The difference-equation residual one (n, x) entry at a time (test reference)."""
     q = 1.0 - p
@@ -98,6 +121,19 @@ class TestPolynomialTable:
     def test_table_equals_fraction_oracle(self, p, N):
         # the integer recurrence rounds each entry once, like the Fraction one
         assert np.array_equal(kr.ktilde_table(p, N), fraction_table(p, N))
+
+    @pytest.mark.parametrize("p", (0.03, 0.3000001, 0.4123457, 0.97))
+    @pytest.mark.parametrize("N", (61, 96, 150, 200))
+    def test_mirrored_table_equals_full_recurrence(self, p, N):
+        # past the Fraction oracle's reach: the upper triangle and its
+        # mirror round the same rationals as the full-width recurrence
+        assert np.array_equal(kr.ktilde_table(p, N), full_recurrence_table(p, N))
+
+    def test_extreme_p_overflows_like_full_recurrence(self):
+        with pytest.raises(OverflowError):
+            full_recurrence_table(0.999, 150)
+        with pytest.raises(OverflowError):
+            kr.ktilde_table(0.999, 150)
 
     @pytest.mark.parametrize("p", (0.03, 0.97))
     def test_large_table_is_finite(self, p):
