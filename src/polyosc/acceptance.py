@@ -21,7 +21,7 @@ from . import coherent as co
 from . import krawtchouk as kr
 from .chains import boson_chain
 from .momentsys import MomentSequence, coefficients_from_moments
-from .polyrec import RecurrenceCoefficients, gauss_quadrature
+from .polyrec import RecurrenceCoefficients, gauss_quadrature, worst_of
 
 _P_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
 _N_GRID = (2, 5, 10, 25, 50)
@@ -42,22 +42,6 @@ class CriterionResult:
         return "%s  %2d  %-58s  measured %.3e  bound %.1e%s" % (
             tag, self.cid, self.title, self.measured, self.bound, extra,
         )
-
-
-def worst_of(*values) -> float:
-    """Largest entry (at least 0) over scalars and arrays; NaN or inf give +inf.
-
-    A running max(worst, x) keeps worst when x is NaN, so a NaN would pass
-    every bound; through this helper it fails every bound instead.
-    """
-    worst = 0.0
-    for v in values:
-        if np.ndim(v):
-            v = np.max(v) if np.isfinite(v).all() else math.inf
-        if not math.isfinite(v):
-            return math.inf
-        worst = max(worst, float(v))
-    return worst
 
 
 def criterion_1() -> CriterionResult:
@@ -217,7 +201,7 @@ def criterion_8() -> CriterionResult:
     worst_h = 0.0
     for p in (0.2, 0.5, 0.8):
         for N in range(1, 21):
-            T, *_ = kr.polynomial_to_grid_map(p, N)
+            T = kr.polynomial_to_grid_map(p, N)
             worst_u = worst_of(worst_u, np.abs(T.T @ T - np.eye(N + 1)))
             worst_t = worst_of(worst_t, kr.transport_residual(p, N))
             worst_h = worst_of(worst_h, kr.hamiltonian_relation_residual(p, N))

@@ -34,11 +34,11 @@ from scipy.linalg import eigvalsh_tridiagonal
 from . import __version__
 from . import coherent as co
 from . import krawtchouk as kr
-from .acceptance import format_report, run_all, worst_of
+from .acceptance import format_report, run_all
 from .chains import resolve_chain
 from .fockspace import build_symmetric_oscillator, expected_truncated_spectrum, spectrum
 from .momentsys import MomentSequence, SupportExhaustedError, coefficients_from_moments
-from .polyrec import ChainError, roots as chain_roots
+from .polyrec import ChainError, roots as chain_roots, worst_of
 
 
 def _tolerance(text: str) -> float:
@@ -141,15 +141,25 @@ def _chain_from_args(args):
     return resolve_chain(args.chain, p=p, N=N, depth=depth)
 
 
+def _dim_from_args(args, chain):
+    """--dim, or for an open chain N+1 from --N, else depth+1 from --depth,
+    else None (the routes then decide or refuse)."""
+    if args.dim is not None or chain.truncated:
+        return args.dim
+    if args.N is not None:
+        return args.N + 1
+    if args.depth is not None:
+        return chain.depth + 1  # the named open chains hold --depth entries
+    return None
+
+
 # --------------------------------------------------------------------------
 # command payload builders: each returns (payload, ok)
 
 
 def cmd_spectrum(args):
     chain = _chain_from_args(args)
-    dim = args.dim
-    if dim is None and not chain.truncated:
-        dim = (args.N + 1) if args.N is not None else chain.depth + 1
+    dim = _dim_from_args(args, chain)
     ops = build_symmetric_oscillator(chain, dim=dim)
     paired, _ = spectrum(ops)
     want = expected_truncated_spectrum(chain, dim=dim)
@@ -172,9 +182,7 @@ def cmd_spectrum(args):
 def cmd_coherent(args):
     chain = _chain_from_args(args)
     z = complex(args.z[0], args.z[1])
-    dim = args.dim
-    if dim is None and not chain.truncated:
-        dim = (args.N + 1) if args.N is not None else None
+    dim = _dim_from_args(args, chain)
     states = {
         "exponential": co.coherent_via_exponential(chain, z, dim=dim),
         "series": co.coherent_via_recurrence(chain, z, dim=dim),

@@ -10,9 +10,12 @@ is computed by
 1. coherent_via_exponential -- the matrix exponential, via the spectral
    decomposition of the (anti-Hermitian) exponent.  This is the oracle: its
    only ingredients are eigh and elementary functions.
-2. coherent_via_recurrence -- the power-series in the displacement operator,
-   with the transfer coefficients d[n, l] of the exponent's n-th power
-   generated by their two-term recurrence.
+2. coherent_via_recurrence -- the Taylor rows f[n] = (r/n) A f[n-1] of
+   exp(r A) e_0, z = r e^{i theta}, A real: the transfer coefficients
+   d[n, l] rescaled by (sqrt(2) b_{l-1})! r^n / n!.  All the cancellation
+   sits in that one alternating sum; eps times the running sum of |f| bounds
+   its rounding error (Higham, Accuracy and Stability, sec. 4.2), and past
+   1e-8 the route raises ArithmeticError instead of returning a state.
 3. coherent_closed_form -- a finite sum over the roots of the (N+1)-st
    polynomial of the chain, with Gauss-Christoffel weights, summed in the
    orthonormal variable so that no term overflows at large N.
@@ -34,16 +37,21 @@ import numpy as np
 
 from .polyrec import (
     RecurrenceCoefficients,
-    _finite_max,
     as_chain,
     eval_monic_tilde,
     gauss_quadrature,
     node_table,
     tilde_quadrature,
+    worst_of,
 )
 from .fockspace import build_symmetric_oscillator
 
 _LD = np.longdouble
+# The series route raises once eps * sum |terms| passes the package's default
+# tolerance (also criterion 4's norm bound); a row below _SERIES_QUIET of the
+# running amplitudes is negligible.
+_SERIES_ERROR_LIMIT = 1e-8
+_SERIES_QUIET = 1e-15
 
 
 def _truncation(chain, dim=None):
@@ -95,11 +103,6 @@ def _profiles(rule, radii) -> np.ndarray:
     x, w, table = rule
     phases = np.exp(1j * np.multiply.outer(x, np.asarray(radii, dtype=float)))
     return np.asarray(table @ (w[:, None] * phases), dtype=complex)
-
-
-def _ladder_prefactors(b: np.ndarray) -> np.ndarray:
-    """(sqrt(2) b_{l-1})! for l = 0..N: prod of sqrt(2) b_0..b_{l-1}."""
-    return np.concatenate(([1.0], np.cumprod(np.sqrt(2.0) * b[:-1])))
 
 
 def coherent_via_exponential(chain, z: complex, dim: int | None = None) -> np.ndarray:
@@ -187,54 +190,47 @@ def gamma_coefficients(chain, nmax: int, mmax: int, dim: int | None = None) -> n
 
 
 def coherent_via_recurrence(
-    chain,
-    z: complex,
-    dim: int | None = None,
-    rtol: float = 1e-15,
-    max_terms: int = 500,
+    chain, z: complex, dim: int | None = None, max_terms: int = 500
 ) -> np.ndarray:
-    """Displaced vacuum by direct power-series summation.
+    """Displaced vacuum as C_l = e^{i theta l} sum_n f[n, l], f[0] = e_0.
 
-    C_l = sum_n (sqrt(2) b_{l-1})!/n! d[n, l] (-conj z)^{(n-l)/2} z^{(n+l)/2},
-    accumulated with factorially prescaled transfer rows e[n, l] = d[n, l]/n!
-    so nothing overflows.  Stops when two consecutive rows contribute less
-    than rtol of the running amplitude scale, or raises if max_terms rows
-    were not enough.
+    The exponent is r U A U^dagger with U = diag(e^{i theta l}) and
+    A[l+1, l] = sqrt(2) b_l = -A[l, l+1].  Stops after two consecutive rows
+    below _SERIES_QUIET of max(1, largest amplitude); raises ArithmeticError
+    past max_terms rows, or once eps * max_l sum_n |f[n, l]| exceeds
+    _SERIES_ERROR_LIMIT (a NaN or inf row included).
     """
     b, N = _truncation(chain, dim)
     if z == 0:
         out = np.zeros(N + 1, dtype=complex)
         out[0] = 1.0
         return out
-    tb2 = 2.0 * b**2
-    pref = _ladder_prefactors(b)
     r = abs(z)
-    phase_up = z  # one unit of raising
-    phase_dn = -np.conj(z)  # one unit of lowering
-    C = np.zeros(N + 1, dtype=complex)
-    e = np.zeros(N + 1)
-    e[0] = 1.0
-    C[0] += 1.0  # n = 0 term
+    sub = np.sqrt(2.0) * b[:N]  # A[l+1, l]
+    f = np.zeros(N + 1)
+    f[0] = 1.0
+    acc = f.copy()
+    mass = f.copy()
     quiet = 0
     for n in range(1, max_terms + 1):
         nxt = np.zeros(N + 1)
-        nxt[1 : N + 1] += e[0:N]
-        nxt[0:N] += tb2[0:N] * e[1 : N + 1]
-        e = nxt / n
-        if not np.all(np.isfinite(e)):
-            raise ArithmeticError("transfer row overflowed at order %d" % n)
-        ls = np.nonzero(e)[0]
-        biggest = 0.0
-        for l in ls:
-            m = (n - l) // 2
-            term = pref[l] * e[l] * phase_dn**m * phase_up ** (m + l)
-            C[l] += term
-            biggest = max(biggest, abs(term))
-        scale = max(1.0, float(np.max(np.abs(C))))
-        if biggest < rtol * scale:
+        nxt[1:] = sub * f[:-1]
+        nxt[:-1] -= sub * f[1:]
+        f = (r / n) * nxt
+        acc += f
+        mass += np.abs(f)
+        bound = np.finfo(float).eps * np.max(mass)
+        if not bound <= _SERIES_ERROR_LIMIT:
+            raise ArithmeticError(
+                "series for |z| = %g cancels too much: eps * sum |terms| = %.2e "
+                "exceeds %g at order %d" % (r, bound, _SERIES_ERROR_LIMIT, n)
+            )
+        if np.max(np.abs(f)) < _SERIES_QUIET * max(1.0, np.max(np.abs(acc))):
             quiet += 1
             if quiet >= 2:
-                return C
+                # e^{i theta} from the angle: NumPy's z / r multiplies by
+                # 1 / r, which overflows for a subnormal |z|
+                return np.exp(1j * np.angle(z)) ** np.arange(N + 1) * acc
         else:
             quiet = 0
     raise ArithmeticError(
@@ -339,7 +335,7 @@ def alternating_even_residual(chain, xs=None, dim: int | None = None) -> float:
     rhs = (-1.0) ** m * table[2 * m + 1] / dfac[m]
     scale = np.maximum(np.max(np.abs(rows * xs[None, :]), axis=0), np.abs(rhs))
     scale = np.maximum(scale, 1.0)
-    return _finite_max(np.abs(lhs - rhs) / scale)
+    return worst_of(np.abs(lhs - rhs) / scale)
 
 
 def zero_value_residual(chain, dim: int | None = None) -> float:
@@ -348,7 +344,7 @@ def zero_value_residual(chain, dim: int | None = None) -> float:
     P = (N + 1) // 2
     got = node_table(b, N + 1, 0.0, "monic_tilde")[0::2]
     want = (-1.0) ** np.arange(P + 1) * _double_factorials(2.0 * b**2, 0, P)
-    return _finite_max(np.abs(got - want) / np.maximum(1.0, np.abs(want)))
+    return worst_of(np.abs(got - want) / np.maximum(1.0, np.abs(want)))
 
 
 def root_identity_residuals(chain, dim: int | None = None) -> dict:
@@ -390,7 +386,7 @@ def root_identity_residuals(chain, dim: int | None = None) -> dict:
 
     # combined form: plain off the diagonal, alternating on it
     comb = np.where(mask, cross / big, 0.0)
-    out["cross"] = _finite_max([np.max(comb), out["alternating"]])
+    out["cross"] = worst_of(np.max(comb), out["alternating"])
 
     if N % 2 == 0 and N >= 2:
         m = N // 2

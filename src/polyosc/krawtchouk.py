@@ -25,7 +25,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .fockspace import OscillatorOperators, build_symmetric_oscillator, commutator
-from .polyrec import RecurrenceCoefficients, _finite_max
+from .polyrec import RecurrenceCoefficients, worst_of
 
 _LD = np.longdouble
 
@@ -221,7 +221,7 @@ def difference_equation_residual(p: float, N: int) -> float:
         n * kn[:, 1:-1],
     )
     scale = np.maximum(1.0, np.max(np.abs(terms), axis=0))
-    return _finite_max(np.abs(((terms[0] + terms[1]) + terms[2]) + terms[3]) / scale)
+    return worst_of(np.abs(((terms[0] + terms[1]) + terms[2]) + terms[3]) / scale)
 
 
 # ---------------------------------------------------------------------------
@@ -292,9 +292,10 @@ def polynomial_ladders(p: float, N: int):
     K_zero = [K_plus, K_minus] / 2 = number - N/2.
     """
     osc = build_lattice_oscillator(p, N)
-    D = np.diag((-1.0) ** np.arange(N + 1))
-    k_plus = D @ osc.raise_ @ D
-    k_minus = D @ osc.lower @ D
+    signs = (-1.0) ** np.arange(N + 1)
+    flip = np.outer(signs, signs)
+    k_plus = flip * osc.raise_
+    k_minus = flip * osc.lower
     k_zero = 0.5 * commutator(k_plus, k_minus)
     return k_plus, k_minus, k_zero
 
@@ -304,7 +305,7 @@ def so3_residuals(k_plus, k_minus, k_zero) -> float:
     r1 = commutator(k_zero, k_plus) - k_plus
     r2 = commutator(k_zero, k_minus) + k_minus
     r3 = commutator(k_plus, k_minus) - 2.0 * k_zero
-    return _finite_max([np.max(np.abs(r)) for r in (r1, r2, r3)])
+    return worst_of(*(np.abs(r) for r in (r1, r2, r3)))
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +402,7 @@ def grid_ladder_action_residual(p: float, N: int) -> float:
     want_up = np.sqrt((n + 1.0) * (N - n))[:, None] * padded[2:]
     want_dn = np.sqrt(n * (N - n + 1.0))[:, None] * padded[:-2]
     # column k of a @ psi.T is a applied to Psi_k
-    return _finite_max(
+    return worst_of(
         np.abs(np.concatenate((a_plus @ psi.T - want_up.T, a_minus @ psi.T - want_dn.T)))
     )
 
@@ -410,35 +411,32 @@ def grid_ladder_action_residual(p: float, N: int) -> float:
 # the intertwiner between the two sides
 
 
-def polynomial_to_grid_map(p: float, N: int):
-    """Unitary T (with its factors) mapping kt-side operators to grid-side.
+def polynomial_to_grid_map(p: float, N: int) -> np.ndarray:
+    """Unitary T mapping kt-side operators to grid-side.
 
-    T = V U with U = diag((-1)^n) (sign flip) and V = Psi^T.  Explicitly
-    T[j, n] = sqrt(rho(j)) kt_n(j); T is real orthogonal, and
+    T = Psi^T diag((-1)^n): the transposed wave-function table with its
+    column signs flipped, so T[j, n] = sqrt(rho(j)) kt_n(j).  T is real
+    orthogonal, and
 
         T K_pm T^{-1} = A_pm,   T K_0 T^{-1} = H_grid - (N+1)/2,
         T^{-1} H_grid T = diag(n + 1/2).
 
-    Returns (T, U, V).
+    T comes in C order: the BLAS products built on it then sum in a fixed
+    order (an F-order T moves hamiltonian_relation_residual by an ulp).
     """
-    psi = grid_functions(p, N)
-    U = np.diag((-1.0) ** np.arange(N + 1))
-    V = psi.T
-    return V @ U, U, V
+    return np.ascontiguousarray(grid_functions(p, N).T) * (-1.0) ** np.arange(N + 1)
 
 
 def transport_residual(p: float, N: int) -> float:
     """Max defect of the three ladder-transport identities under T."""
-    T, *_ = polynomial_to_grid_map(p, N)
+    T = polynomial_to_grid_map(p, N)
     k_plus, k_minus, k_zero = polynomial_ladders(p, N)
     a_plus, a_minus = grid_ladders(p, N)
     H = grid_hamiltonian(p, N)
     a_zero = H - 0.5 * (N + 1) * np.eye(N + 1)
     Ti = T.T  # orthogonal
     pairs = ((k_plus, a_plus), (k_minus, a_minus), (k_zero, a_zero))
-    return float(
-        max(np.max(np.abs(T @ km @ Ti - am)) for km, am in pairs)
-    )
+    return worst_of(*(np.abs(T @ km @ Ti - am) for km, am in pairs))
 
 
 def hamiltonian_relation_residual(p: float, N: int) -> float:
@@ -451,7 +449,7 @@ def hamiltonian_relation_residual(p: float, N: int) -> float:
 
     The scalar shadow: N(n+1/2) - n^2 = -(n+1/2-1/2)^2 + N(n+1/2).
     """
-    T, *_ = polynomial_to_grid_map(p, N)
+    T = polynomial_to_grid_map(p, N)
     Hg = T.T @ grid_hamiltonian(p, N) @ T
     osc = build_lattice_oscillator(p, N)
     # the lattice Hamiltonian is diagonal in the khat basis; conjugation by
@@ -524,4 +522,4 @@ def difference_form_residual(p: float, N: int) -> float:
         want = coef[:, None] * padded[1 + shift : N + 2 + shift]
         scale = np.maximum(1.0, np.maximum(np.abs(kt_table) @ np.abs(mat).T, np.abs(want)))
         defects.append(np.abs(kt_table @ mat.T - want) / scale)
-    return max(_finite_max(d) for d in defects)
+    return worst_of(*defects)

@@ -109,11 +109,20 @@ def as_chain(chain) -> RecurrenceCoefficients:
     return RecurrenceCoefficients(b=np.asarray(chain, dtype=float))
 
 
-def _finite_max(values) -> float:
-    """Largest entry as a float; +inf if any entry is NaN or inf (a running
-    max(worst, x) would drop a NaN and let it pass every bound)."""
-    values = np.asarray(values)
-    return float(np.max(values)) if np.isfinite(values).all() else math.inf
+def worst_of(*values) -> float:
+    """Largest entry (at least 0) over scalars and arrays; NaN or inf give +inf.
+
+    A running max(worst, x) keeps worst when x is NaN, so a NaN would pass
+    every bound; through this helper it fails every bound instead.
+    """
+    worst = 0.0
+    for v in values:
+        if np.ndim(v):
+            v = np.max(v) if np.isfinite(v).all() else math.inf
+        if not math.isfinite(v):
+            return math.inf
+        worst = max(worst, float(v))
+    return worst
 
 
 def factorial_on_index(values, n: int) -> float:

@@ -133,7 +133,7 @@ class TestCoherentCommand:
         assert json.loads(out)["pass"] is False
 
     def test_numerical_failure_exits_one_without_traceback(self, capsys):
-        # the series route cannot settle at |z| = 6 on this chain
+        # the series route refuses |z| = 6 on this chain (its rounding bound passes 1e-8)
         rc, out, err = run(capsys, [
             "coherent", "--chain", "krawtchouk", "--p", "0.3", "--N", "80",
             "--z", "6", "0",

@@ -1,6 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyosc import (
@@ -89,6 +91,66 @@ class TestThreeWayAgreement:
     def test_series_that_cannot_settle_raises(self):
         with pytest.raises(ArithmeticError):
             coherent_via_recurrence(TWO_LEVEL, 2.0, max_terms=3)
+
+
+@st.composite
+def series_cases(draw):
+    """(chain, dim, z) over boson windows, Krawtchouk and random chains."""
+    kind = draw(st.sampled_from(("boson", "krawtchouk", "random")))
+    size = draw(st.integers(2, 400))  # the state-space dimension, at most
+    if kind == "boson":
+        chain, dim = boson_chain(size), size
+    elif kind == "krawtchouk":
+        chain, dim = krawtchouk.symmetric_chain(draw(st.floats(0.05, 0.95)), size - 1), None
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        chain, dim = random_truncated_chain(rng, max_levels=size - 1), None
+    z = draw(st.floats(0.0, 6.0)) * np.exp(1j * draw(st.floats(0.0, 2.0 * np.pi)))
+    return chain, dim, z
+
+
+class TestSeriesRoute:
+    # The series sums exp(r A) e_0 in float64; eps * sum |terms| bounds its
+    # rounding error, and past 1e-8 it raises instead of returning a state.
+    @given(series_cases())
+    def test_accurate_or_raises(self, case):
+        chain, dim, z = case
+        try:
+            got = coherent_via_recurrence(chain, z, dim=dim)
+        except ArithmeticError:
+            return
+        want = coherent_via_exponential(chain, z, dim=dim)
+        assert np.max(np.abs(got - want)) <= 1e-8
+
+    # The points of the benchmark's coherent domain grid (p = 0.3000001,
+    # phase 0.7) where the float64 series cannot reach 1e-8.
+    @pytest.mark.parametrize("kind, size, r", [
+        ("boson", 25, 6.0), ("boson", 100, 6.0),
+        ("krawtchouk", 24, 2.5), ("krawtchouk", 24, 6.0),
+        ("krawtchouk", 99, 1.0), ("krawtchouk", 99, 2.5), ("krawtchouk", 99, 6.0),
+        ("krawtchouk", 399, 1.0),
+    ])
+    def test_cancelling_grid_points_raise(self, kind, size, r):
+        if kind == "boson":
+            chain, dim = boson_chain(size), size
+        else:
+            chain, dim = krawtchouk.symmetric_chain(0.3000001, size), None
+        with pytest.raises(ArithmeticError, match="exceeds 1e-08"):
+            coherent_via_recurrence(chain, r * np.exp(0.7j), dim=dim)
+
+    def test_subnormal_displacement(self):
+        z = np.complex128(5e-309 + 0j)
+        got = coherent_via_recurrence(boson_chain(2), z, dim=2)
+        assert np.all(np.isfinite(got))
+        assert np.max(np.abs(got - coherent_via_exponential(boson_chain(2), z, dim=2))) < 1e-15
+
+    def test_boson_dim_400_without_warnings(self):
+        z = 1.0 + 0.5j
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = coherent_via_recurrence(boson_chain(400), z, dim=400)
+        want = coherent_via_exponential(boson_chain(400), z, dim=400)
+        assert np.max(np.abs(got - want)) < 1e-12
 
 
 class TestClosedFormAtScale:

@@ -274,9 +274,40 @@ class TestIntertwiner:
     @pytest.mark.parametrize("p", P_SAMPLES)
     @pytest.mark.parametrize("N", (1, 7, 20))
     def test_transport(self, p, N):
-        T, _, _ = kr.polynomial_to_grid_map(p, N)
+        T = kr.polynomial_to_grid_map(p, N)
         assert np.max(np.abs(T.T @ T - np.eye(N + 1))) < 1e-12
         assert kr.transport_residual(p, N) < 1e-11
+
+    @pytest.mark.parametrize("p", (0.03, 0.3000001, 0.4123457, 0.97))
+    @pytest.mark.parametrize("N", (1, 2, 24, 96))
+    def test_sign_flips_equal_dense_products(self, p, N):
+        # T = Psi^T diag((-1)^n) and K = D X D, D = diag((-1)^n), as dense
+        # matrix products: the sign flips must reproduce them exactly
+        D = np.diag((-1.0) ** np.arange(N + 1))
+        T = kr.polynomial_to_grid_map(p, N)
+        assert np.array_equal(T, kr.grid_functions(p, N).T @ D)
+        assert T.flags.c_contiguous
+        osc = kr.build_lattice_oscillator(p, N)
+        k_plus, k_minus, _ = kr.polynomial_ladders(p, N)
+        assert np.array_equal(k_plus, D @ osc.raise_ @ D)
+        assert np.array_equal(k_minus, D @ osc.lower @ D)
+
+    def test_nan_ladder_fails_transport(self, monkeypatch):
+        from polyosc.acceptance import criterion_8
+
+        real = kr.grid_ladders
+
+        def poisoned(p, N):
+            a_plus, a_minus = real(p, N)
+            a_minus = a_minus.copy()
+            a_minus[0, 0] = np.nan
+            return a_plus, a_minus
+
+        monkeypatch.setattr(kr, "grid_ladders", poisoned)
+        assert kr.transport_residual(0.5, 6) == math.inf
+        result = criterion_8()
+        assert not result.passed
+        assert result.measured == math.inf
 
     def test_hamiltonian_relation(self):
         for p in P_SAMPLES:
