@@ -12,11 +12,11 @@ from .polyrec import (
     RecurrenceCoefficients,
     RootSet,
     as_chain,
-    double_factorial_on_index,
     eval_monic_tilde,
     eval_orthonormal,
-    factorial_on_index,
     gauss_quadrature,
+    index_double_factorials,
+    index_factorials,
     jacobi_matrix,
     monic_tilde_coefficients,
     roots,
@@ -72,11 +72,11 @@ __all__ = [
     "RecurrenceCoefficients",
     "RootSet",
     "as_chain",
-    "double_factorial_on_index",
     "eval_monic_tilde",
     "eval_orthonormal",
-    "factorial_on_index",
     "gauss_quadrature",
+    "index_double_factorials",
+    "index_factorials",
     "jacobi_matrix",
     "monic_tilde_coefficients",
     "roots",

@@ -50,10 +50,7 @@ def criterion_1() -> CriterionResult:
     worst = 0.0
     for p in _P_GRID:
         for N in _N_GRID:
-            osc = kr.build_lattice_oscillator(p, N)
-            got = np.linalg.eigvalsh(osc.hamiltonian)
-            want = np.sort(osc.expected_spectrum())
-            worst = worst_of(worst, np.abs(got - want))
+            worst = worst_of(worst, kr.lattice_spectrum_deviation(p, N))
     dt = time.perf_counter() - t0
     ok = worst < 1e-9 and dt < 5.0
     return CriterionResult(
@@ -68,10 +65,7 @@ def criterion_2() -> CriterionResult:
     worst_fact = 0.0
     for p in _P_GRID:
         for N in _N_GRID:
-            H = kr.grid_hamiltonian(p, N)
-            got = np.linalg.eigvalsh(H)
-            want = np.arange(N + 1, dtype=float) + 0.5
-            worst_spec = worst_of(worst_spec, np.abs(got - want))
+            worst_spec = worst_of(worst_spec, kr.grid_spectrum_deviation(p, N))
             worst_fact = worst_of(worst_fact, kr.grid_factorization_residual(p, N))
     worst = worst_of(worst_spec, worst_fact)
     return CriterionResult(

@@ -29,7 +29,6 @@ import os
 import sys
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
 
 from . import __version__
 from . import coherent as co
@@ -218,22 +217,13 @@ def cmd_coherent(args):
 
 def _krawtchouk_point(p, N, tol):
     osc = kr.build_lattice_oscillator(p, N)
-    # The lattice H is diagonal: spectrum reads the diagonal of the scaled
-    # H (raising on a nonzero off-diagonal), the values dense eigvalsh
-    # returns.  The grid H is tridiagonal: sterf is the root-free QL/QR
-    # that dense eigvalsh runs after its (here trivial) reduction.
-    lattice_levels = np.sort(spectrum(osc)[0])
-    spec_dev = float(np.max(np.abs(lattice_levels - np.sort(osc.expected_spectrum()))))
-    H_grid = kr.grid_hamiltonian(p, N)
-    grid_levels = eigvalsh_tridiagonal(np.diag(H_grid), np.diag(H_grid, 1), lapack_driver="sterf")
-    grid_dev = float(np.max(np.abs(grid_levels - (np.arange(N + 1) + 0.5))))
     d1, d2 = kr.dual_orthogonality_residuals(p, N)
     g1, g2 = kr.grid_orthogonality_residuals(p, N)
     res = {
         "p": p,
         "N": N,
-        "spectrum_deviation": spec_dev,
-        "grid_spectrum_deviation": grid_dev,
+        "spectrum_deviation": kr.lattice_spectrum_deviation(p, N),
+        "grid_spectrum_deviation": kr.grid_spectrum_deviation(p, N),
         "ladder_commutator": kr.ladder_commutator_residual(osc),
         "dual_orthogonality": worst_of(d1, d2),
         "grid_orthogonality": worst_of(g1, g2),
@@ -260,9 +250,13 @@ def _parse_sweep(expr: str):
     var = var.strip()
     if var != "p":
         raise ValueError("only p sweeps are supported, got %r" % var)
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ValueError("sweep %r: start, stop and step must be finite" % expr)
     if step <= 0:
         raise ValueError("sweep step must be positive")
     count = int(np.floor((stop - start) / step + 1e-9)) + 1
+    if count < 1:
+        raise ValueError("sweep %r yields no point (start above stop)" % expr)
     return var, [round(start + k * step, 12) for k in range(count)]
 
 

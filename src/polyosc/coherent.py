@@ -40,6 +40,8 @@ from .polyrec import (
     as_chain,
     eval_monic_tilde,
     gauss_quadrature,
+    index_double_factorials,
+    index_factorials,
     node_table,
     tilde_quadrature,
     worst_of,
@@ -76,19 +78,6 @@ def _truncation(chain, dim=None):
     b = np.zeros(N + 1)
     b[:N] = chain.b[:N]
     return b, N
-
-
-def _tilde_norms(b: np.ndarray, N: int) -> np.ndarray:
-    """(2b^2_{l-1})! for l = 0..N as one longdouble cumulative product
-    (it overflows float64 past l ~ 170 on the boson chain)."""
-    return np.concatenate(([1.0], np.cumprod((2.0 * b[:N] ** 2).astype(_LD))))
-
-
-def _double_factorials(tb2: np.ndarray, start: int, count: int) -> np.ndarray:
-    """1, tb2[start], tb2[start] tb2[start+2], ... (count + 1 entries) as one
-    longdouble cumulative product; start = 1 gives (2b^2_{2p-1})!! at p, and
-    start = 0 gives 2b_0^2 2b_2^2 ... 2b_{2p-2}^2."""
-    return np.concatenate(([1.0], np.cumprod(tb2[start : start + 2 * count : 2].astype(_LD))))
 
 
 def _tilde_rule(b: np.ndarray, N: int):
@@ -149,15 +138,14 @@ def transfer_closed_form(chain, nmax: int, dim: int | None = None) -> np.ndarray
     quadrature rule arrives Newton-polished in extended precision.
     """
     b, N = _truncation(chain, dim)
-    x, w = tilde_quadrature(RecurrenceCoefficients(b=b[:N]), N + 1)
-    xs = x.astype(_LD)
+    x, w, table = _tilde_rule(b, N)
     # u[l, k] = psit_l(x_k) / (2b^2_{l-1})!
-    u = node_table(b, N, xs, "monic_tilde") / _tilde_norms(b, N)[:, None]
+    u = table / index_factorials(2.0 * b**2, N)[:, None]
     out = np.zeros((nmax + 1, N + 1))
-    xp = np.ones_like(xs)
+    xp = np.ones_like(x)
     for n in range(nmax + 1):
         out[n] = np.asarray((u * (w.astype(_LD) * xp)[None, :]).sum(axis=1), dtype=float)
-        xp = xp * xs
+        xp = xp * x
     return out
 
 
@@ -265,7 +253,8 @@ def coherent_closed_form(chain, z: complex, dim: int | None = None) -> np.ndarra
     work = RecurrenceCoefficients(b=b[:N])
     y, w = gauss_quadrature(work, N + 1)
     amp = node_table(work, N, y, "orthonormal") @ (w * np.exp(1j * r * np.sqrt(_LD(2.0)) * y))
-    return (-1j * z / r) ** np.arange(N + 1) * np.asarray(amp, dtype=complex)
+    # -i e^{i arg z}, not -i z / r: NumPy multiplies by 1 / r, inf for a subnormal r
+    return (-1j * np.exp(1j * np.angle(z))) ** np.arange(N + 1) * np.asarray(amp, dtype=complex)
 
 
 def node_sum_profile(chain, l: int, r: float, dim: int | None = None) -> complex:
@@ -300,16 +289,20 @@ def profile_normalization(chain, dim: int | None = None) -> float:
 # magnitude entering it.
 
 
-def alternating_square_residual(chain, xs=None, dim: int | None = None) -> float:
+def _identity_table(b: np.ndarray, N: int):
+    """41 points x past the chain's spectrum on both sides, where identities
+    that hold for every real x are checked, and psit_0..psit_{N+1} there."""
+    xmax = 2.0 * np.sqrt(2.0) * (np.max(np.abs(b)) + 1.0) * np.sqrt(N + 1.0)
+    xs = np.linspace(-xmax, xmax, 41)
+    return xs, node_table(b, N + 1, xs, "monic_tilde")
+
+
+def alternating_square_residual(chain, dim: int | None = None) -> float:
     """Identity: x sum_l (-1)^l psit_l(x)^2/(2b^2_{l-1})! equals
     (-1)^N psit_{N+1}(x) psit_N(x)/(2b^2_{N-1})!, for every real x."""
     b, N = _truncation(chain, dim)
-    if xs is None:
-        xmax = 2.0 * np.sqrt(2.0) * (np.max(np.abs(b)) + 1.0) * np.sqrt(N + 1.0)
-        xs = np.linspace(-xmax, xmax, 41)
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    table = node_table(b, N + 1, xs, "monic_tilde")
-    hl = _tilde_norms(b, N)
+    xs, table = _identity_table(b, N)
+    hl = index_factorials(2.0 * b**2, N)
     summands = (-1.0) ** np.arange(N + 1)[:, None] * table[: N + 1] ** 2 / hl[:, None]
     lhs = xs * summands.sum(axis=0)
     rhs = (-1.0) ** N * table[N + 1] * table[N] / hl[N]
@@ -318,18 +311,13 @@ def alternating_square_residual(chain, xs=None, dim: int | None = None) -> float
     return float(np.max(np.abs(lhs - rhs) / scale))
 
 
-def alternating_even_residual(chain, xs=None, dim: int | None = None) -> float:
+def alternating_even_residual(chain, dim: int | None = None) -> float:
     """Identity: x sum_{p<=m} (-1)^p psit_{2p}(x)/(2b^2_{2p-1})!! equals
     (-1)^m psit_{2m+1}(x)/(2b^2_{2m-1})!!, with m = floor(N/2)."""
     b, N = _truncation(chain, dim)
-    tb2 = 2.0 * b**2
     m = N // 2
-    if xs is None:
-        xmax = 2.0 * np.sqrt(2.0) * (np.max(np.abs(b)) + 1.0) * np.sqrt(N + 1.0)
-        xs = np.linspace(-xmax, xmax, 41)
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    table = node_table(b, N + 1, xs, "monic_tilde")
-    dfac = _double_factorials(tb2, 1, m)
+    xs, table = _identity_table(b, N)
+    dfac = index_double_factorials(2.0 * b**2, 1, m)
     rows = np.array([(-1.0) ** p * table[2 * p] / dfac[p] for p in range(m + 1)])
     lhs = xs * rows.sum(axis=0)
     rhs = (-1.0) ** m * table[2 * m + 1] / dfac[m]
@@ -343,7 +331,7 @@ def zero_value_residual(chain, dim: int | None = None) -> float:
     b, N = _truncation(chain, dim)
     P = (N + 1) // 2
     got = node_table(b, N + 1, 0.0, "monic_tilde")[0::2]
-    want = (-1.0) ** np.arange(P + 1) * _double_factorials(2.0 * b**2, 0, P)
+    want = (-1.0) ** np.arange(P + 1) * index_double_factorials(2.0 * b**2, 0, P)
     return worst_of(np.abs(got - want) / np.maximum(1.0, np.abs(want)))
 
 
@@ -365,7 +353,7 @@ def root_identity_residuals(chain, dim: int | None = None) -> dict:
     b, N = _truncation(chain, dim)
     tb2 = 2.0 * b**2
     x, _, table = _tilde_rule(b, N)  # table[l, k] = psit_l(x_k)
-    hl = _tilde_norms(b, N)
+    hl = index_factorials(tb2, N)
     u = table / hl[:, None]
     out = {}
 
@@ -397,7 +385,7 @@ def root_identity_residuals(chain, dim: int | None = None) -> dict:
         cbig = np.maximum(np.max(np.abs(rows), axis=0) * np.maximum(np.abs(x), 1.0), 1.0)
         out["center"] = float(np.max(np.abs(val) / cbig))
         # the equivalent alternating even form at nonzero roots
-        dfac = _double_factorials(tb2, 1, m)
+        dfac = index_double_factorials(tb2, 1, m)
         rows2 = np.array([(-1.0) ** p * table[2 * p] / dfac[p] for p in range(m + 1)])
         nz = np.abs(x) > 1e-9
         val2 = rows2.sum(axis=0)[nz]
@@ -420,26 +408,24 @@ def resolution_residuals(chain, t, weights, dim: int | None = None) -> np.ndarra
     b, N = _truncation(chain, dim)
     radii = np.sqrt(np.asarray(t, dtype=float))
     acc = np.abs(_profiles(_tilde_rule(b, N), radii)) ** 2 @ np.asarray(weights, dtype=float)
-    return np.abs(acc - _tilde_norms(b, N)).astype(float)
+    return np.abs(acc - index_factorials(2.0 * b**2, N)).astype(float)
 
 
-def construct_resolution_measure(chain, dim: int | None = None, nnodes: int | None = None):
+def construct_resolution_measure(chain, dim: int | None = None):
     """Find a nonnegative discrete radial measure resolving the identity.
 
-    Places nodes on a geometric-ish grid in t = |z|^2 and solves the
+    Places 8 (N + 1) nodes on a grid in t = |z|^2 and solves the
     nonnegative least-squares system sum_i w_i |A_l(sqrt(t_i))|^2 = h_l.
     Returns (t, weights); feed them to resolution_residuals to judge fit.
     """
     from scipy.optimize import nnls
 
     b, N = _truncation(chain, dim)
-    if nnodes is None:
-        nnodes = 8 * (N + 1)
     if N == 0:
         return np.array([1.0]), np.array([1.0])
     # spread nodes over a few characteristic radii of the spectrum
     rule = _tilde_rule(b, N)
     span = max(1.0, float(np.max(np.abs(rule[0]))))
-    radii = np.linspace(1e-3, 4.0 * np.pi / (2.0 * span / (N + 1)), nnodes)
-    w, _ = nnls(np.abs(_profiles(rule, radii)) ** 2, _tilde_norms(b, N))
+    radii = np.linspace(1e-3, 4.0 * np.pi / (2.0 * span / (N + 1)), 8 * (N + 1))
+    w, _ = nnls(np.abs(_profiles(rule, radii)) ** 2, index_factorials(2.0 * b**2, N))
     return radii**2, w

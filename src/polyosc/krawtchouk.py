@@ -22,9 +22,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.linalg import eigvalsh_tridiagonal
 from scipy.special import gammaln
 
-from .fockspace import OscillatorOperators, build_symmetric_oscillator, commutator
+from .fockspace import OscillatorOperators, build_symmetric_oscillator, commutator, spectrum
 from .polyrec import RecurrenceCoefficients, worst_of
 
 _LD = np.longdouble
@@ -276,6 +277,15 @@ def build_lattice_oscillator(p: float, N: int) -> LatticeOscillator:
     return LatticeOscillator(p=p, N=N, ops=build_symmetric_oscillator(symmetric_chain(p, N)))
 
 
+def lattice_spectrum_deviation(p: float, N: int) -> float:
+    """Max |level - (N(n + 1/2) - n^2)|, both sorted.  The lattice H is
+    diagonal: fockspace.spectrum reads its diagonal (dense eigvalsh's values)
+    and raises ArithmeticError on a nonzero off-diagonal."""
+    osc = build_lattice_oscillator(p, N)
+    levels = np.sort(spectrum(osc)[0])
+    return worst_of(np.abs(levels - np.sort(osc.expected_spectrum())))
+
+
 def ladder_commutator_residual(osc: LatticeOscillator) -> float:
     """|| [lower, raise] - (N - 2 number) ||_max for the scaled ladders."""
     want = np.diag(osc.N - 2.0 * np.arange(osc.dim, dtype=float)).astype(complex)
@@ -347,6 +357,15 @@ def _alpha(j, N: int):
     return np.sqrt((np.asarray(j, dtype=float) + 1.0) * (N - np.asarray(j, dtype=float)))
 
 
+def _grid_bands(p: float, N: int):
+    """Diagonal and off-diagonal of the grid Hamiltonian (see grid_hamiltonian)."""
+    _check_pn(p, N)
+    j = np.arange(N + 1, dtype=float)
+    diag = 2.0 * p * (1.0 - p) * N + 0.5 + (1.0 - 2.0 * p) * (j - p * N)
+    off = -np.sqrt(p * (1.0 - p)) * _alpha(j[:-1], N)
+    return diag, off
+
+
 def grid_hamiltonian(p: float, N: int) -> np.ndarray:
     """Difference-operator Hamiltonian on the physical grid.
 
@@ -354,11 +373,16 @@ def grid_hamiltonian(p: float, N: int) -> np.ndarray:
     [j, j+1] = [j+1, j] = -sqrt(p(1-p)) alpha_j with
     alpha_j = sqrt((j+1)(N-j)).  Spectrum: n + 1/2, n = 0..N.
     """
-    _check_pn(p, N)
-    j = np.arange(N + 1, dtype=float)
-    diag = 2.0 * p * (1.0 - p) * N + 0.5 + (1.0 - 2.0 * p) * (j - p * N)
-    off = -np.sqrt(p * (1.0 - p)) * _alpha(j[:-1], N)
+    diag, off = _grid_bands(p, N)
     return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+
+
+def grid_spectrum_deviation(p: float, N: int) -> float:
+    """Max |level - (n + 1/2)| over the tridiagonal grid H.  sterf is the
+    root-free QL/QR that dense eigvalsh runs after its (here trivial)
+    reduction, so the levels are the dense ones."""
+    levels = eigvalsh_tridiagonal(*_grid_bands(p, N), lapack_driver="sterf")
+    return worst_of(np.abs(levels - (np.arange(N + 1) + 0.5)))
 
 
 def grid_ladders(p: float, N: int):

@@ -11,9 +11,10 @@ Two polynomial normalizations are used throughout:
 
 They are related by a sqrt(2) change of variable,
     psit_n(sqrt(2) x) = fact_idx(sqrt(2) b, n) * psi_n(x),
-where fact_idx is the index-factorial below.  Every value of either family
-comes from one kernel, node_table.  Roots are always computed as
-Jacobi-matrix eigenvalues, never by polynomial root finding.
+where fact_idx(v, n) = v_0 ... v_{n-1} (see index_factorials).  Every value
+of either family comes from one kernel, node_table, except in the Newton
+sweep of _refined_gauss_rule, which runs its own monic recurrence for p and
+p'.  Roots are Jacobi-matrix eigenvalues, never polynomial root finding.
 
 A Gauss rule depends only on its Jacobi window, never on the point where it
 is used, so the Newton-polished rule is memoized per process on the exact
@@ -31,6 +32,8 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 _LD = np.longdouble
+# an eigenpair backward error past this share of ||J||_2 makes roots raise
+_ROOT_RESIDUAL_TOL = 1e-8
 
 
 class ChainError(ValueError):
@@ -49,14 +52,10 @@ class RecurrenceCoefficients:
         entries (e.g. the Krawtchouk chain has b_N = 0).
     a : array_like, optional
         Diagonal coefficients; omitted or all-zero for symmetric measures.
-    truncated : bool
-        True when the chain closes a finite-dimensional space, i.e. trailing
-        zeros in b are structural rather than missing data.
     """
 
     b: np.ndarray
     a: np.ndarray | None = None
-    truncated: bool = False
     label: str = field(default="", compare=False)
 
     def __post_init__(self):
@@ -78,7 +77,6 @@ class RecurrenceCoefficients:
             first = int(nz[0])
             if np.any(self.b[first:] != 0.0):
                 raise ChainError("interior zero in b at index %d" % first)
-            self.truncated = True
 
     @property
     def depth(self) -> int:
@@ -90,6 +88,11 @@ class RecurrenceCoefficients:
         """Number of leading nonzero b entries (the usable chain length)."""
         nz = np.nonzero(self.b == 0.0)[0]
         return int(nz[0]) if nz.size else len(self.b)
+
+    @property
+    def truncated(self) -> bool:
+        """True when trailing zeros in b close the space (valid_depth < depth)."""
+        return self.valid_depth < self.depth
 
     @property
     def symmetric(self) -> bool:
@@ -125,32 +128,26 @@ def worst_of(*values) -> float:
     return worst
 
 
-def factorial_on_index(values, n: int) -> float:
-    """Product of values[0..n-1]; the empty product (n <= 0) is 1.
-
-    This is the "(c_{n-1})!" convention: factorial_on_index(2*b**2, n)
-    is (2b^2_{n-1})! = 2b_0^2 * ... * 2b_{n-1}^2.
-    """
-    if n <= 0:
-        return 1.0
+def index_factorials(values, n: int) -> np.ndarray:
+    """(values_{l-1})! = values[0] * ... * values[l-1] for l = 0..n, entry 0
+    the empty product 1, as one longdouble cumulative product: with
+    values = 2 b^2 on the boson chain entry l is l!, finite past l = 170."""
     values = np.asarray(values)
-    if n > len(values):
+    if not 0 <= n <= len(values):
         raise ValueError("index factorial needs %d entries, have %d" % (n, len(values)))
-    return float(np.prod(values[:n].astype(_LD)))
+    return np.concatenate(([1.0], np.cumprod(values[:n].astype(_LD))))
 
 
-def double_factorial_on_index(values, n: int) -> float:
-    """Product of every second entry, values[n-1] * values[n-3] * ...; 1 for n <= 0.
-
-    double_factorial_on_index(2*b**2, 2*p) is (2b^2_{2p-2})!! (even indices),
-    and with n = 2*p + 1 it is (2b^2_{2p-1})!! (odd indices).
-    """
-    if n <= 0:
-        return 1.0
+def index_double_factorials(values, start: int, count: int) -> np.ndarray:
+    """1, values[start], values[start] values[start+2], ... (count + 1
+    entries) as one longdouble cumulative product; with values = 2 b^2,
+    start = 1 gives (2b^2_{2p-1})!! at entry p and start = 0 (2b^2_{2p-2})!!."""
     values = np.asarray(values)
-    if n > len(values):
-        raise ValueError("index double factorial needs %d entries" % n)
-    return float(np.prod(values[n - 1 :: -2].astype(_LD)))
+    if count < 0 or (count and start + 2 * count - 2 >= len(values)):
+        raise ValueError(
+            "index double factorial needs entry %d, have %d" % (start + 2 * count - 2, len(values))
+        )
+    return np.concatenate(([1.0], np.cumprod(values[start : start + 2 * count : 2].astype(_LD))))
 
 
 def node_table(chain, nmax: int, x, normalization: str) -> np.ndarray:
@@ -258,13 +255,13 @@ class RootSet:
         return len(self.x)
 
 
-def roots(chain, degree: int, residual_tol: float = 1e-8) -> RootSet:
+def roots(chain, degree: int) -> RootSet:
     """All roots of psit_degree, via the Jacobi spectrum (Golub-Welsch route).
 
     psit_degree(sqrt(2) y) is proportional to the orthonormal psi_degree(y), so
     the roots are sqrt(2) times the eigenvalues of the degree x degree Jacobi
-    matrix.  Raises if an eigenpair residual exceeds residual_tol * scale (or
-    is not finite).
+    matrix.  Raises if an eigenpair residual exceeds _ROOT_RESIDUAL_TOL * scale
+    (or is not finite).
     """
     chain = as_chain(chain)
     if not chain.symmetric:
@@ -283,10 +280,10 @@ def roots(chain, degree: int, residual_tol: float = 1e-8) -> RootSet:
     Jv[1:] += off[:, None] * v[:-1]
     res = np.linalg.norm(Jv - v * y, axis=0)
     scale = float(np.max(np.abs(y))) or 1.0
-    if not np.all(res <= residual_tol * scale):
+    if not np.all(res <= _ROOT_RESIDUAL_TOL * scale):
         raise ArithmeticError(
             "root residual %.3e exceeds %.1e of the Jacobi norm %.3e"
-            % (float(np.max(res)), residual_tol, scale)
+            % (float(np.max(res)), _ROOT_RESIDUAL_TOL, scale)
         )
     return RootSet(x=np.sqrt(2.0) * y, residuals=res, degree=degree, scale=scale)
 

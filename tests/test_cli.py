@@ -77,6 +77,17 @@ class TestDeterminism:
             _parse_sweep("p=0.1:0.5")
         with pytest.raises(ValueError):
             _parse_sweep("p=0.5:0.1:-0.2")
+        for bad in ("p=0.1:inf:0.2", "p=0.1:0.5:nan", "p=0.1:0.5:inf"):
+            with pytest.raises(ValueError, match="finite"):
+                _parse_sweep(bad)
+
+    def test_empty_sweep_is_a_usage_error(self, capsys):
+        # a sweep over no point must not pass
+        rc, out, err = run(capsys, ["krawtchouk", "--N", "5", "--sweep", "p=0.9:0.1:0.2",
+                                    "--format", "json"])
+        assert rc == 2
+        assert out == ""
+        assert "no point" in err
 
 
 class TestKrawtchoukSpectra:

@@ -172,6 +172,16 @@ class TestClosedFormAtScale:
         assert 1.0 - ov < 1e-7
         assert abs(np.linalg.norm(c) - 1.0) < 1e-8
 
+    def test_subnormal_displacement(self):
+        # the phase -i z/|z| must not come from a multiply by 1/|z|, which
+        # overflows here
+        z = np.complex128(2.2e-309)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = coherent_closed_form(boson_chain(3), z, dim=3)
+        assert np.all(np.isfinite(got))
+        assert np.max(np.abs(got - coherent_via_exponential(boson_chain(3), z, dim=3))) < 1e-15
+
 
 class TestTransferTable:
     def test_hand_case_single_step(self):

@@ -237,6 +237,30 @@ class TestLatticeOscillator:
         assert np.allclose(np.diag(k0).real, np.arange(9.0) - 4.0, atol=1e-12)
 
 
+# The (p, N) pairs of acceptance criteria 1-2, then two large N.
+SPECTRUM_POINTS = [(p, N) for p in (0.1, 0.3, 0.5, 0.7, 0.9) for N in (2, 5, 10, 25, 50)] + [
+    (0.4123457, 96),
+    (0.4123457, 200),
+]
+
+
+class TestSpectrumDeviations:
+    # dense eigvalsh stays here as the oracle: the shared functions read the
+    # lattice H's diagonal and run sterf on the grid bands
+    @pytest.mark.parametrize("p, N", SPECTRUM_POINTS)
+    def test_lattice_equals_dense_eigvalsh(self, p, N):
+        osc = kr.build_lattice_oscillator(p, N)
+        dense = np.linalg.eigvalsh(osc.hamiltonian)
+        want = np.max(np.abs(dense - np.sort(osc.expected_spectrum())))
+        assert np.array_equal(kr.lattice_spectrum_deviation(p, N), want)
+
+    @pytest.mark.parametrize("p, N", SPECTRUM_POINTS)
+    def test_grid_equals_dense_eigvalsh(self, p, N):
+        dense = np.linalg.eigvalsh(kr.grid_hamiltonian(p, N))
+        want = np.max(np.abs(dense - (np.arange(N + 1) + 0.5)))
+        assert np.array_equal(kr.grid_spectrum_deviation(p, N), want)
+
+
 class TestGridSide:
     def test_grid_geometry(self):
         p, N = 0.25, 8

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -7,17 +9,17 @@ from polyosc import (
     ChainError,
     RecurrenceCoefficients,
     boson_chain,
-    double_factorial_on_index,
     eval_monic_tilde,
     eval_orthonormal,
-    factorial_on_index,
     gauss_quadrature,
+    index_double_factorials,
+    index_factorials,
     jacobi_matrix,
     monic_tilde_coefficients,
     roots,
     tilde_quadrature,
 )
-from polyosc import krawtchouk_chain, polyrec
+from polyosc import gaussian_moment_chain, hermite_chain, krawtchouk, krawtchouk_chain, polyrec
 from polyosc.polyrec import node_table
 from conftest import random_truncated_chain
 
@@ -30,6 +32,20 @@ class TestChainValidation:
         assert ch.truncated
         assert ch.valid_depth == 2
         assert ch.depth == 4
+
+    def test_truncated_is_not_an_option(self):
+        with pytest.raises(TypeError):
+            RecurrenceCoefficients(b=[1.0, 2.0], truncated=True)
+
+    @pytest.mark.parametrize("chain", [
+        boson_chain(7),
+        krawtchouk_chain(0.3, 6),
+        krawtchouk.recurrence_chain(0.3, 6),
+        hermite_chain(5),
+        gaussian_moment_chain(4),
+    ])
+    def test_truncated_follows_valid_depth(self, chain):
+        assert chain.truncated == (chain.valid_depth < chain.depth)
 
     def test_interior_zero_rejected(self):
         with pytest.raises(ChainError):
@@ -65,32 +81,46 @@ class TestChainValidation:
 
 class TestIndexFactorials:
     def test_empty_products(self):
-        assert factorial_on_index([2.0, 3.0], 0) == 1.0
-        assert factorial_on_index([2.0, 3.0], -1) == 1.0
-        assert double_factorial_on_index([2.0, 3.0], 0) == 1.0
+        assert index_factorials([2.0, 3.0], 0).tolist() == [1.0]
+        assert index_double_factorials([2.0, 3.0], 0, 0).tolist() == [1.0]
+        assert index_double_factorials([2.0, 3.0], 1, 0).tolist() == [1.0]
 
     def test_plain_product(self):
-        assert factorial_on_index([2.0, 3.0, 5.0], 3) == 30.0
-        assert factorial_on_index([2.0, 3.0, 5.0], 2) == 6.0
+        assert index_factorials([2.0, 3.0, 5.0], 3).tolist() == [1.0, 2.0, 6.0, 30.0]
+        assert index_factorials([2.0, 3.0, 5.0], 2).tolist() == [1.0, 2.0, 6.0]
+        assert index_factorials([2.0, 3.0], 2).dtype == np.longdouble
 
     def test_double_factorial_strides(self):
         vals = [2.0, 3.0, 5.0, 7.0, 11.0]
-        # even count: indices n-1, n-3, ... down to 1
-        assert double_factorial_on_index(vals, 4) == 7.0 * 3.0
-        # odd count: down to index 0
-        assert double_factorial_on_index(vals, 5) == 11.0 * 5.0 * 2.0
+        # start 1: odd indices 1, 3, ...
+        assert index_double_factorials(vals, 1, 2).tolist() == [1.0, 3.0, 3.0 * 7.0]
+        # start 0: even indices 0, 2, 4
+        assert index_double_factorials(vals, 0, 3).tolist() == [1.0, 2.0, 2.0 * 5.0, 2.0 * 5.0 * 11.0]
 
     def test_factorial_splits_into_double_factorials(self):
         vals = np.array([1.7, 0.4, 2.2, 0.9, 1.1, 3.0])
+        fact = index_factorials(vals, len(vals))
+        even = index_double_factorials(vals, 0, 3)
+        odd = index_double_factorials(vals, 1, 3)
         for n in range(len(vals) + 1):
-            assert factorial_on_index(vals, n) == pytest.approx(
-                double_factorial_on_index(vals, n)
-                * double_factorial_on_index(vals, n - 1)
-            )
+            # v_0 .. v_{n-1} = (v_0 v_2 ...)(v_1 v_3 ...)
+            assert float(fact[n]) == pytest.approx(float(even[(n + 1) // 2] * odd[n // 2]))
 
     def test_too_few_entries(self):
         with pytest.raises(ValueError):
-            factorial_on_index([2.0], 2)
+            index_factorials([2.0], 2)
+        with pytest.raises(ValueError):
+            index_factorials([2.0], -1)
+        with pytest.raises(ValueError):
+            index_double_factorials([2.0, 3.0, 5.0], 1, 2)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).max <= np.finfo(float).max,
+                        reason="longdouble is float64 here")
+    def test_finite_past_float64_overflow(self):
+        # on the boson chain 2 b_{l-1}^2 = l, so entry l is l!; float64 is inf from 171!
+        fact = index_factorials(2.0 * boson_chain(200).b ** 2, 200)
+        assert np.all(np.isfinite(fact))
+        assert float(np.log10(fact[200])) == pytest.approx(math.lgamma(201) / math.log(10), rel=1e-14)
 
 
 class TestEvaluation:
