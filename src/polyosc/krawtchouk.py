@@ -22,11 +22,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
-from scipy.special import gammaln
 
 from .fockspace import OscillatorOperators, build_symmetric_oscillator, commutator, spectrum
-from .polyrec import RecurrenceCoefficients, worst_of
+from .polyrec import RecurrenceCoefficients, _eigh_tridiagonal, worst_of
 
 _LD = np.longdouble
 
@@ -59,25 +57,54 @@ def krawtchouk_poly(n: int, x, p: float, N: int):
     return out if out.ndim else float(out)
 
 
+@lru_cache(maxsize=64)
+def _weights_cached(p: float, N: int) -> np.ndarray:
+    """rho(x), x = 0..N, each entry one correctly rounded exact rational.
+
+    With p = m/D exactly (D a power of two) and r = D - m,
+    rho(x) = C(N, x) m^x r^(N-x) / D^N.  The numerators come from running
+    integer products and each is divided by D^N once (int / int true
+    division rounds correctly and underflows to 0 rather than raising).
+    """
+    m, D = p.as_integer_ratio()
+    r = D - m
+    m_pow = [1]
+    r_pow = [1]
+    for _ in range(N):
+        m_pow.append(m_pow[-1] * m)
+        r_pow.append(r_pow[-1] * r)
+    denom = D**N
+    weights = np.array([math.comb(N, x) * m_pow[x] * r_pow[N - x] / denom for x in range(N + 1)])
+    weights.setflags(write=False)
+    return weights
+
+
 def weight_rho(x, p: float, N: int):
-    """Binomial weight rho(x) = C(N, x) p^x (1-p)^{N-x} on x = 0..N."""
+    """Binomial weight rho(x) = C(N, x) p^x (1-p)^{N-x} on x = 0..N.
+
+    Exact to one rounding per entry (see _weights_cached).  Every x must be
+    an integer in 0..N; anything else raises ValueError.
+    """
     _check_pn(p, N)
-    x_arr = np.asarray(x, dtype=float)
-    logw = (
-        gammaln(N + 1)
-        - gammaln(x_arr + 1)
-        - gammaln(N - x_arr + 1)
-        + x_arr * np.log(p)
-        + (N - x_arr) * np.log1p(-p)
-    )
-    out = np.exp(logw)
+    x_arr = np.asarray(x)
+    if x_arr.dtype.kind not in "iuf" or not np.all(
+        (x_arr >= 0) & (x_arr <= N) & (np.trunc(x_arr) == x_arr)
+    ):
+        raise ValueError("x must be integers in 0..%d, got %r" % (N, x))
+    out = _weights_cached(float(p), int(N))[x_arr.astype(int)]
     return out if out.ndim else float(out)
 
 
-def _norm_factor(n: int, p: float, N: int) -> float:
-    # sqrt(C(N, n) (p/(1-p))^n): rescales K_n to unit norm under rho.
-    logc = gammaln(N + 1) - gammaln(n + 1) - gammaln(N - n + 1)
-    return float(np.exp(0.5 * (logc + n * (np.log(p) - np.log1p(-p)))))
+@lru_cache(maxsize=64)
+def _norm_factors(p: float, N: int) -> np.ndarray:
+    """c_n = sqrt(C(N, n) m^n / r^n), n = 0..N, with p = m/D and r = D - m:
+    the factors sqrt(C(N, n) (p/q)^n) that scale K_n to unit norm under rho.
+    The ratio is one correctly rounded int / int division, then one sqrt."""
+    m, D = p.as_integer_ratio()
+    r = D - m
+    factors = np.array([math.sqrt(math.comb(N, n) * m**n / r**n) for n in range(N + 1)])
+    factors.setflags(write=False)
+    return factors
 
 
 def ktilde(n: int, x, p: float, N: int):
@@ -86,7 +113,8 @@ def ktilde(n: int, x, p: float, N: int):
     kt_0 is identically 1.  Uses the hypergeometric sum; see also
     recurrence_chain, whose orthonormal family coincides with kt.
     """
-    return _norm_factor(n, p, N) * np.asarray(krawtchouk_poly(n, x, p, N))
+    poly = np.asarray(krawtchouk_poly(n, x, p, N))
+    return _norm_factors(float(p), int(N))[n] * poly
 
 
 def khat(n: int, x, p: float, N: int):
@@ -168,8 +196,7 @@ def _ktilde_table_cached(p: float, N: int) -> np.ndarray:
             up, low = m * (N - n), n * r * m * (N - n + 1)
             prev, cur = cur[1:], (up + n * r - Dx[n + 1 :]) * cur[1:] - low * prev[1:]
             d *= up
-    for n in range(N + 1):
-        table[n] *= math.sqrt(math.comb(N, n) * m**n / r**n)
+    table *= _norm_factors(p, N)[:, None]
     table.setflags(write=False)
     return table
 
@@ -192,7 +219,7 @@ def dual_orthogonality_residuals(p: float, N: int) -> tuple[float, float]:
     _check_pn(p, N)
     x = np.arange(N + 1, dtype=float)
     rho = weight_rho(x, p, N)
-    c = np.array([_norm_factor(n, p, N) for n in range(N + 1)])
+    c = _norm_factors(float(p), int(N))
     plain = ktilde_table(p, N) / c[:, None]  # plain[n, x] = K_n(x)
     eye = np.eye(N + 1)
     first = c[:, None] * ((plain * rho) @ plain.T) * c[None, :] - eye
@@ -378,10 +405,9 @@ def grid_hamiltonian(p: float, N: int) -> np.ndarray:
 
 
 def grid_spectrum_deviation(p: float, N: int) -> float:
-    """Max |level - (n + 1/2)| over the tridiagonal grid H.  sterf is the
-    root-free QL/QR that dense eigvalsh runs after its (here trivial)
-    reduction, so the levels are the dense ones."""
-    levels = eigvalsh_tridiagonal(*_grid_bands(p, N), lapack_driver="sterf")
+    """Max |level - (n + 1/2)| over the grid H, whose levels come from
+    the dense eigvalsh of its two bands."""
+    levels = _eigh_tridiagonal(*_grid_bands(p, N), eigvals_only=True)
     return worst_of(np.abs(levels - (np.arange(N + 1) + 0.5)))
 
 

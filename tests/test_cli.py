@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import polyosc
 from polyosc import krawtchouk as kr
 from polyosc.cli import _krawtchouk_point, _parse_sweep, main
 
@@ -104,6 +109,15 @@ class TestKrawtchoukSpectra:
         assert row["grid_spectrum_deviation"] == float(
             np.max(np.abs(grid - (np.arange(N + 1) + 0.5)))
         )
+
+    def test_lattice_point_at_n400_passes(self, capsys):
+        # exact lattice weights: hamiltonian_relation is ~1e-10 here, where
+        # log-gamma weights left it at 3.8e-8, past the 1e-8 tolerance
+        rc, out, err = run(capsys, [
+            "krawtchouk", "--p", "0.4123", "--N", "400", "--format", "json",
+        ])
+        assert rc == 0, err
+        assert json.loads(out)["hamiltonian_relation"] < 1e-9
 
     def test_off_diagonal_lattice_hamiltonian_fails(self, capsys, monkeypatch):
         def broken(self):
@@ -358,3 +372,34 @@ class TestVerifyCommand:
         rc, out, _ = run(capsys, ["verify"])
         assert rc == 0
         assert "10/10 criteria passed" in out
+
+
+def test_commands_run_without_scipy():
+    # scipy is imported only inside construct_resolution_measure
+    code = """
+import contextlib, io, sys
+import polyosc, polyosc.cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+assert not scipy_modules(), scipy_modules()
+for argv in (
+    ["krawtchouk", "--p", "0.3", "--N", "24"],
+    ["verify"],
+    ["coherent", "--chain", "boson", "--dim", "12", "--z", "1", "0.5"],
+    ["spectrum"],
+    ["roots", "--chain", "krawtchouk", "--p", "0.3", "--N", "24"],
+    ["moments", "--chain", "krawtchouk", "--p", "0.5", "--N", "7", "--count", "5"],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert polyosc.cli.main(argv) == 0, argv
+    assert not scipy_modules(), (argv, scipy_modules())
+print("ok")
+"""
+    src = str(Path(polyosc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, timeout=120)
+    assert out.stdout.strip() == "ok", out.stderr

@@ -165,6 +165,35 @@ class TestPolynomialTable:
             rho = kr.weight_rho(np.arange(13), p, 12)
             assert float(np.sum(rho)) == pytest.approx(1.0, abs=1e-13)
 
+    @pytest.mark.parametrize("p", (0.03, 0.3000001, 0.4123457, 0.97))
+    @pytest.mark.parametrize("N", (1, 24, 96, 400))
+    def test_weights_equal_fraction_oracle(self, p, N):
+        pf = Fraction(p)
+        want = [float(math.comb(N, x) * pf**x * (1 - pf) ** (N - x)) for x in range(N + 1)]
+        assert np.array_equal(kr.weight_rho(np.arange(N + 1), p, N), want)
+
+    @pytest.mark.parametrize("x", ([-1, 0.5, 13], -1, 13, 2.5, np.nan, np.inf, "3", [True]))
+    def test_weights_reject_points_off_the_lattice(self, x):
+        with pytest.raises(ValueError, match="integers in 0..12"):
+            kr.weight_rho(x, 0.3, 12)
+
+    def test_weights_accept_integral_floats_and_copy(self):
+        rho = kr.weight_rho(np.arange(13.0), 0.3, 12)
+        assert np.array_equal(rho, kr.weight_rho(np.arange(13), 0.3, 12))
+        assert kr.weight_rho(4.0, 0.3, 12) == rho[4]
+        rho[4] = 7.0
+        assert kr.weight_rho(4, 0.3, 12) != 7.0
+
+    @pytest.mark.parametrize("p", (0.03, 0.3000001, 0.4123457, 0.8))
+    @pytest.mark.parametrize("N", (1, 24, 96))
+    def test_norm_factors_are_the_tables(self, p, N):
+        # K_n(0) = 1, so column 0 of the table is c_n itself
+        c = kr._norm_factors(p, N)
+        assert np.array_equal(c, kr.ktilde_table(p, N)[:, 0])
+        pf = Fraction(p)
+        want = [math.sqrt(math.comb(N, n) * (pf / (1 - pf)) ** n) for n in range(N + 1)]
+        assert np.array_equal(c, want)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             kr.ktilde_table(0.0, 4)
@@ -245,8 +274,8 @@ SPECTRUM_POINTS = [(p, N) for p in (0.1, 0.3, 0.5, 0.7, 0.9) for N in (2, 5, 10,
 
 
 class TestSpectrumDeviations:
-    # dense eigvalsh stays here as the oracle: the shared functions read the
-    # lattice H's diagonal and run sterf on the grid bands
+    # dense eigvalsh of the full matrices stays here as the oracle: the shared
+    # functions read the lattice H's diagonal and solve from the grid bands
     @pytest.mark.parametrize("p, N", SPECTRUM_POINTS)
     def test_lattice_equals_dense_eigvalsh(self, p, N):
         osc = kr.build_lattice_oscillator(p, N)
@@ -258,6 +287,14 @@ class TestSpectrumDeviations:
     def test_grid_equals_dense_eigvalsh(self, p, N):
         dense = np.linalg.eigvalsh(kr.grid_hamiltonian(p, N))
         want = np.max(np.abs(dense - (np.arange(N + 1) + 0.5)))
+        assert np.array_equal(kr.grid_spectrum_deviation(p, N), want)
+
+    @pytest.mark.parametrize("p, N", SPECTRUM_POINTS)
+    def test_grid_equals_scipy_sterf(self, p, N):
+        from scipy.linalg import eigvalsh_tridiagonal
+
+        levels = eigvalsh_tridiagonal(*kr._grid_bands(p, N), lapack_driver="sterf")
+        want = np.max(np.abs(levels - (np.arange(N + 1) + 0.5)))
         assert np.array_equal(kr.grid_spectrum_deviation(p, N), want)
 
 

@@ -243,13 +243,13 @@ class TestRoots:
         (RecurrenceCoefficients(b=[0.9, 1.4, 0.0]), 3),
     ])
     def test_perturbed_eigenvalues_rejected(self, monkeypatch, chain, deg):
-        real = polyrec.eigh_tridiagonal
+        real = polyrec._eigh_tridiagonal
 
         def perturbed(d, e):
             vals, vecs = real(d, e)
             return vals * (1.0 + 1e-6), vecs
 
-        monkeypatch.setattr(polyrec, "eigh_tridiagonal", perturbed)
+        monkeypatch.setattr(polyrec, "_eigh_tridiagonal", perturbed)
         with pytest.raises(ArithmeticError):
             roots(chain, deg)
 
@@ -333,13 +333,31 @@ class TestQuadrature:
         assert polyrec._polished_rule.cache_info() == before
 
 
-def fresh_rule(chain, npoints):
-    """The polished rule of the chain's npoints window, bypassing the cache."""
+def window(chain, npoints):
     diag = np.zeros(npoints)
     if chain.a is not None:
         diag[: min(npoints, len(chain.a))] = chain.a[:npoints]
-    off = chain.b[: npoints - 1]
+    return diag, chain.b[: npoints - 1]
+
+
+def fresh_rule(chain, npoints):
+    """The polished rule of the chain's npoints window, bypassing the cache."""
+    diag, off = window(chain, npoints)
     return polyrec._polished_rule.__wrapped__(diag.tobytes(), off.tobytes())
+
+
+def scipy_started_rule(chain, npoints):
+    """The rule polished from scipy's tridiagonal eigenvalues (test oracle).
+
+    scipy's default driver (stevd) returns the same values as the dense
+    solve.  An MRRR (stemr) start is not an oracle for bits: the polish then
+    lands up to one longdouble ulp away on most windows.
+    """
+    from scipy.linalg import eigh_tridiagonal
+
+    diag, off = window(chain, npoints)
+    start = eigh_tridiagonal(diag, off, eigvals_only=True)
+    return polyrec._refined_gauss_rule(diag, off, start)
 
 
 def assert_rule_equal(got, want):
@@ -351,6 +369,8 @@ class TestRuleCache:
 
     def assert_cached_rule_is_fresh(self, chain, npoints):
         want = fresh_rule(chain, npoints)
+        # the numpy-started rule is the one the scipy-started polish gave
+        assert_rule_equal(scipy_started_rule(chain, npoints), want)
         # the weight pass on the whole chain, as before the rule was cached
         table = node_table(chain, npoints - 1, want[0], "orthonormal")
         assert np.array_equal(want[1], 1.0 / np.cumsum(table**2, axis=0)[-1])
