@@ -17,8 +17,6 @@ from .polyrec import (
     gauss_quadrature,
     index_double_factorials,
     index_factorials,
-    jacobi_matrix,
-    monic_tilde_coefficients,
     roots,
     tilde_quadrature,
 )
@@ -27,6 +25,7 @@ from .momentsys import (
     SupportExhaustedError,
     coefficients_from_moments,
     gaussian_even_moments,
+    moment_round_trip,
     two_point_even_moments,
     verify_canonical_orthogonality,
 )
@@ -45,12 +44,12 @@ from .coherent import (
     coherent_via_exponential,
     coherent_via_recurrence,
     construct_resolution_measure,
-    gamma_coefficients,
     node_sum_profile,
     profile_normalization,
     quadrature_profile,
     resolution_residuals,
     root_identity_residuals,
+    route_agreement,
     transfer_closed_form,
     transfer_coefficients,
     zero_value_residual,
@@ -77,14 +76,13 @@ __all__ = [
     "gauss_quadrature",
     "index_double_factorials",
     "index_factorials",
-    "jacobi_matrix",
-    "monic_tilde_coefficients",
     "roots",
     "tilde_quadrature",
     "MomentSequence",
     "SupportExhaustedError",
     "coefficients_from_moments",
     "gaussian_even_moments",
+    "moment_round_trip",
     "two_point_even_moments",
     "verify_canonical_orthogonality",
     "OscillatorOperators",
@@ -99,12 +97,12 @@ __all__ = [
     "coherent_via_exponential",
     "coherent_via_recurrence",
     "construct_resolution_measure",
-    "gamma_coefficients",
     "node_sum_profile",
     "profile_normalization",
     "quadrature_profile",
     "resolution_residuals",
     "root_identity_residuals",
+    "route_agreement",
     "transfer_closed_form",
     "transfer_coefficients",
     "zero_value_residual",

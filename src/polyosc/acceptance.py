@@ -20,8 +20,8 @@ import numpy as np
 from . import coherent as co
 from . import krawtchouk as kr
 from .chains import boson_chain
-from .momentsys import MomentSequence, coefficients_from_moments
-from .polyrec import RecurrenceCoefficients, gauss_quadrature, worst_of
+from .momentsys import moment_round_trip
+from .polyrec import RecurrenceCoefficients, worst_of
 
 _P_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
 _N_GRID = (2, 5, 10, 25, 50)
@@ -111,19 +111,13 @@ def criterion_4() -> CriterionResult:
         r = rng.uniform(0.0, 3.0)
         phi = rng.uniform(0.0, 2.0 * np.pi)
         z = r * np.exp(1j * phi)
-        states = [
-            co.coherent_via_exponential(chain, z),
-            co.coherent_via_recurrence(chain, z),
-            co.coherent_closed_form(chain, z),
-        ]
-        for s in states:
-            worst_norm = worst_of(worst_norm, abs(float(np.linalg.norm(s)) - 1.0))
-        for i in range(3):
-            for j in range(i + 1, 3):
-                ov = abs(np.vdot(states[i], states[j])) / (
-                    np.linalg.norm(states[i]) * np.linalg.norm(states[j])
-                )
-                worst_overlap = worst_of(worst_overlap, 1.0 - float(ov))
+        agreement = co.route_agreement({
+            "exponential": co.coherent_via_exponential(chain, z),
+            "series": co.coherent_via_recurrence(chain, z),
+            "closed_form": co.coherent_closed_form(chain, z),
+        })
+        worst_overlap = worst_of(worst_overlap, agreement["worst_overlap_deficit"])
+        worst_norm = worst_of(worst_norm, agreement["worst_norm_deficit"])
     ok = worst_overlap < 1e-7 and worst_norm < 1e-8
     return CriterionResult(
         4, "three-way coherent-state agreement, 25 random (chain, z)",
@@ -218,10 +212,7 @@ def criterion_9() -> CriterionResult:
         cases.append(RecurrenceCoefficients(b=rng.uniform(0.3, 2.0, size=12)))
     for chain in cases:
         for N in (2, 4, 8, 12):
-            nodes, weights = gauss_quadrature(chain, N + 1)
-            mom = MomentSequence.from_quadrature(nodes, weights, N + 1)
-            back = coefficients_from_moments(mom, N)
-            rel = np.abs(back.b - chain.b[:N]) / np.abs(chain.b[:N])
+            mom, _, rel = moment_round_trip(chain, N)
             worst_rt = worst_of(worst_rt, rel)
             mu2, mu4 = mom.moment(2), mom.moment(4)
             worst_anchor = worst_of(

@@ -80,11 +80,9 @@ def resolve_chain(spec: str, p: float | None = None, N: int | None = None,
     'gaussian-moments' (needs depth).  Anything else is read as a file path.
     """
     name = spec.strip().lower()
-    if name in ("boson", "hermite", "hermite-monic"):
+    if name in ("boson", "hermite"):
         d = depth if depth is not None else (N + 1 if N is not None else 32)
-        ch = boson_chain(d)
-        ch.label = "hermite" if name.startswith("hermite") else "boson"
-        return ch
+        return hermite_chain(d) if name == "hermite" else boson_chain(d)
     if name == "krawtchouk":
         if p is None or N is None:
             raise ValueError("the krawtchouk chain needs --p and --N")

@@ -36,7 +36,13 @@ from . import krawtchouk as kr
 from .acceptance import format_report, run_all
 from .chains import resolve_chain
 from .fockspace import build_symmetric_oscillator, expected_truncated_spectrum, spectrum
-from .momentsys import MomentSequence, SupportExhaustedError, coefficients_from_moments
+from .momentsys import (
+    MomentSequence,
+    SupportExhaustedError,
+    coefficients_from_moments,
+    moment_round_trip,
+    verify_canonical_orthogonality,
+)
 from .polyrec import ChainError, roots as chain_roots, worst_of
 
 
@@ -82,7 +88,7 @@ def _fmt(value):
     return value
 
 
-def _emit(payload: dict, args) -> None:
+def _emit(payload: dict | str, args) -> None:
     fmt = args.format
     if fmt == "json":
         text = json.dumps(_fmt(payload), indent=2, sort_keys=False) + "\n"
@@ -105,7 +111,8 @@ def _emit(payload: dict, args) -> None:
         walk("", flat)
         text = buf.getvalue()
     else:
-        text = _text_report(payload)
+        # verify hands over its own one-line-per-criterion report
+        text = payload if isinstance(payload, str) else _text_report(payload)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -187,28 +194,16 @@ def cmd_coherent(args):
         "series": co.coherent_via_recurrence(chain, z, dim=dim),
         "closed_form": co.coherent_closed_form(chain, z, dim=dim),
     }
-    names = list(states)
-    overlaps = {}
-    worst = 0.0
-    for i in range(len(names)):
-        for j in range(i + 1, len(names)):
-            u, v = states[names[i]], states[names[j]]
-            ov = abs(np.vdot(u, v)) / (np.linalg.norm(u) * np.linalg.norm(v))
-            overlaps["%s|%s" % (names[i], names[j])] = float(ov)
-            worst = worst_of(worst, 1.0 - float(ov))
-    norms = {k: float(np.linalg.norm(v)) for k, v in states.items()}
-    worst_norm = worst_of([abs(n - 1.0) for n in norms.values()])
-    ok = worst <= args.tol and worst_norm <= args.tol
+    agreement = co.route_agreement(states)
+    ok = (agreement["worst_overlap_deficit"] <= args.tol
+          and agreement["worst_norm_deficit"] <= args.tol)
     payload = {
         "command": "coherent",
         "chain": chain.label or "custom",
         "z": z,
         "dim": len(states["exponential"]),
-        "amplitudes": {k: v for k, v in states.items()},
-        "norms": norms,
-        "overlaps": overlaps,
-        "worst_overlap_deficit": worst,
-        "worst_norm_deficit": worst_norm,
+        "amplitudes": states,
+        **agreement,
         "tolerance": args.tol,
         "pass": bool(ok),
     }
@@ -315,21 +310,16 @@ def cmd_moments(args):
     count = args.count if args.count is not None else min(8, chain.valid_depth)
     if count > chain.valid_depth:
         raise ValueError("--count %d exceeds the chain's depth %d" % (count, chain.valid_depth))
-    from .momentsys import verify_canonical_orthogonality
-    from .polyrec import gauss_quadrature
-
-    nodes, weights = gauss_quadrature(chain, count + 1)
-    mom = MomentSequence.from_quadrature(nodes, weights, count + 1)
-    back = coefficients_from_moments(mom, count)
-    rel = float(np.max(np.abs(back.b - chain.b[:count]) / np.abs(chain.b[:count])))
+    mom, back, rel = moment_round_trip(chain, count)
+    worst = worst_of(rel)
     ortho = verify_canonical_orthogonality(back, count)
-    ok = rel <= args.tol
+    ok = worst <= args.tol
     payload = {
         "command": "moments",
         "chain": chain.label or "custom",
         "even_moments": mom.even,
         "recovered": back.b,
-        "round_trip_relative_error": rel,
+        "round_trip_relative_error": worst,
         "orthogonality_residual": ortho,
         "tolerance": args.tol,
         "pass": bool(ok),
@@ -346,7 +336,7 @@ def cmd_roots(args):
         degree = chain.valid_depth + 1
     rs = chain_roots(chain, degree)
     rel = rs.residuals / rs.scale
-    ok = float(np.max(rel)) <= args.tol
+    ok = worst_of(rel) <= args.tol
     payload = {
         "command": "roots",
         "chain": chain.label or "custom",
@@ -363,13 +353,7 @@ def cmd_verify(args):
     results = run_all()
     ok = all(r.passed for r in results)
     if args.format == "text":
-        text = format_report(results) + "\n"
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-        return None, ok
+        return format_report(results) + "\n", ok
     payload = {
         "command": "verify",
         "criteria": [
@@ -456,8 +440,7 @@ def main(argv=None) -> int:
     except ArithmeticError as err:
         print("error: %s" % err, file=sys.stderr)
         return 1
-    if payload is not None:
-        _emit(payload, args)
+    _emit(payload, args)
     return 0 if ok else 1
 
 

@@ -61,20 +61,9 @@ def _truncation(chain, dim=None):
     chain = as_chain(chain)
     if not chain.symmetric:
         raise ValueError("coherent-state routines assume a zero-diagonal chain")
-    if dim is None:
-        if not chain.truncated:
-            raise ValueError(
-                "open chain: pass dim to choose the truncation level"
-            )
-        N = chain.valid_depth
-    else:
-        if dim < 1:
-            raise ValueError("dim must be >= 1")
-        N = dim - 1
-        if chain.valid_depth < N:
-            raise ValueError(
-                "need %d nonzero coefficients, chain has %d" % (N, chain.valid_depth)
-            )
+    if dim is None and not chain.truncated:
+        raise ValueError("open chain: pass dim to choose the truncation level")
+    N = chain.states(dim) - 1
     b = np.zeros(N + 1)
     b[:N] = chain.b[:N]
     return b, N
@@ -147,34 +136,6 @@ def transfer_closed_form(chain, nmax: int, dim: int | None = None) -> np.ndarray
         out[n] = np.asarray((u * (w.astype(_LD) * xp)[None, :]).sum(axis=1), dtype=float)
         xp = xp * x
     return out
-
-
-def gamma_coefficients(chain, nmax: int, mmax: int, dim: int | None = None) -> np.ndarray:
-    """Even-displacement weights gamma[n, m] = d[n + 2m, n].
-
-    Filled by their own recurrence
-        gamma[n+1, m] = theta_{n+1} gamma[n, m]
-                        + 2 b_{n+1}^2 theta_{n+2} gamma[n+2, m-1],
-        gamma[0, m] = 2 b_0^2 theta_1 gamma[1, m-1],   gamma[0, 0] = 1,
-    with theta_k = 1 for k <= N and 0 above; the working n-range extends to
-    nmax + 2 mmax so the m-1 column reaches far enough.
-    """
-    b, N = _truncation(chain, dim)
-    width = nmax + 2 * mmax
-    bb = np.zeros(width + 2)
-    used = min(N + 1, width + 2)
-    bb[:used] = b[:used]
-    theta = (np.arange(width + 3) <= N).astype(float)
-    g = np.zeros((width + 1, mmax + 1))
-    g[0, 0] = 1.0
-    for n in range(width):  # m = 0 column: product of thetas
-        g[n + 1, 0] = theta[n + 1] * g[n, 0]
-    for m in range(1, mmax + 1):
-        g[0, m] = 2.0 * bb[0] ** 2 * theta[1] * (g[1, m - 1] if width >= 1 else 0.0)
-        for n in range(width):
-            carry = g[n + 2, m - 1] if n + 2 <= width else 0.0
-            g[n + 1, m] = theta[n + 1] * g[n, m] + 2.0 * bb[n + 1] ** 2 * theta[n + 2] * carry
-    return g[: nmax + 1, :]
 
 
 def coherent_via_recurrence(
@@ -257,6 +218,30 @@ def coherent_closed_form(chain, z: complex, dim: int | None = None) -> np.ndarra
     return (-1j * np.exp(1j * np.angle(z))) ** np.arange(N + 1) * np.asarray(amp, dtype=complex)
 
 
+def route_agreement(states: dict) -> dict:
+    """How closely coherent states of one (chain, z) agree, route by route.
+
+    states maps a route name to its amplitudes.  Returns, in this order,
+    "norms" (||u|| per route), "overlaps" (|<u|v>| / (||u|| ||v||) per pair,
+    keyed "u|v" in the order of states), "worst_overlap_deficit" (the largest
+    1 - overlap) and "worst_norm_deficit" (the largest | ||u|| - 1 |); a NaN
+    or inf makes either worst value inf.
+    """
+    norms = {name: float(np.linalg.norm(u)) for name, u in states.items()}
+    names = list(states)
+    overlaps = {}
+    for i, a in enumerate(names):
+        for b in names[i + 1 :]:
+            ov = abs(np.vdot(states[a], states[b])) / (norms[a] * norms[b])
+            overlaps["%s|%s" % (a, b)] = float(ov)
+    return {
+        "norms": norms,
+        "overlaps": overlaps,
+        "worst_overlap_deficit": worst_of([1.0 - ov for ov in overlaps.values()]),
+        "worst_norm_deficit": worst_of([abs(n - 1.0) for n in norms.values()]),
+    }
+
+
 def node_sum_profile(chain, l: int, r: float, dim: int | None = None) -> complex:
     """Unweighted node profile sum_k psit_l(x_k) e^{i r x_k} / psit_N(x_k)^2.
 
@@ -308,7 +293,7 @@ def alternating_square_residual(chain, dim: int | None = None) -> float:
     rhs = (-1.0) ** N * table[N + 1] * table[N] / hl[N]
     scale = np.maximum(np.max(np.abs(summands * xs[None, :]), axis=0), np.abs(rhs))
     scale = np.maximum(scale, 1.0)
-    return float(np.max(np.abs(lhs - rhs) / scale))
+    return worst_of(np.abs(lhs - rhs) / scale)
 
 
 def alternating_even_residual(chain, dim: int | None = None) -> float:
@@ -364,17 +349,16 @@ def root_identity_residuals(chain, dim: int | None = None) -> dict:
     big = np.array([np.max(np.abs(u[:, s, None] * table), axis=0) for s in range(N + 1)])
     big = np.maximum(big * np.maximum(np.abs(x[:, None] * x[None, :]), 1.0), 1.0)
     mask = ~np.eye(N + 1, dtype=bool)
-    out["kernel"] = float(np.max(cross[mask] / big[mask])) if N > 0 else 0.0
+    out["kernel"] = worst_of(cross[mask] / big[mask]) if N > 0 else 0.0
 
     # alternating diagonal
     signs = (-1.0) ** np.arange(N + 1)
     diag = x * np.einsum("lk,lk->k", signs[:, None] * u, table)
     dbig = np.maximum(np.max(np.abs(u * table), axis=0) * np.maximum(np.abs(x), 1.0), 1.0)
-    out["alternating"] = float(np.max(np.abs(diag) / dbig))
+    out["alternating"] = worst_of(np.abs(diag) / dbig)
 
     # combined form: plain off the diagonal, alternating on it
-    comb = np.where(mask, cross / big, 0.0)
-    out["cross"] = worst_of(np.max(comb), out["alternating"])
+    out["cross"] = worst_of(out["kernel"], out["alternating"])
 
     if N % 2 == 0 and N >= 2:
         m = N // 2
@@ -383,14 +367,14 @@ def root_identity_residuals(chain, dim: int | None = None) -> dict:
         rows = np.array([at0[2 * p] * table[2 * p] / hl[2 * p] for p in range(m + 1)])
         val = x * rows.sum(axis=0)
         cbig = np.maximum(np.max(np.abs(rows), axis=0) * np.maximum(np.abs(x), 1.0), 1.0)
-        out["center"] = float(np.max(np.abs(val) / cbig))
+        out["center"] = worst_of(np.abs(val) / cbig)
         # the equivalent alternating even form at nonzero roots
         dfac = index_double_factorials(tb2, 1, m)
         rows2 = np.array([(-1.0) ** p * table[2 * p] / dfac[p] for p in range(m + 1)])
         nz = np.abs(x) > 1e-9
         val2 = rows2.sum(axis=0)[nz]
         ebig = np.maximum(np.max(np.abs(rows2), axis=0)[nz], 1.0)
-        out["even_alt"] = float(np.max(np.abs(val2) / ebig)) if np.any(nz) else 0.0
+        out["even_alt"] = worst_of(np.abs(val2) / ebig) if np.any(nz) else 0.0
     return out
 
 

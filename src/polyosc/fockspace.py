@@ -69,27 +69,14 @@ class OscillatorOperators:
         # combination X + iP wipes the superdiagonal: it raises
         return (self.position + 1j * self.momentum) / np.sqrt(2.0)
 
-    def number_operator(self) -> np.ndarray:
-        return np.diag(np.arange(self.dim, dtype=float))
-
-
-def _dim_for(chain) -> int:
-    # A truncated chain b_0..b_{N-1}, b_N = 0 acts on N+1 states; an open
-    # chain of depth d gives the d+1 dimensional principal block.
-    return chain.depth + 1 if not chain.truncated else chain.valid_depth + 1
-
 
 def build_symmetric_oscillator(chain, dim: int | None = None) -> OscillatorOperators:
-    """The oscillator of a zero-diagonal chain on dim states (the band b_0..b_{dim-2})."""
+    """The oscillator of a zero-diagonal chain on chain.states(dim) states
+    (the band b_0..b_{dim-2})."""
     chain = as_chain(chain)
     if not chain.symmetric:
         raise ChainError("oscillator operators need a zero-diagonal chain; got a diagonal")
-    n = _dim_for(chain) if dim is None else dim
-    if n < 1:
-        raise ValueError("dimension must be >= 1")
-    if n - 1 > chain.depth:
-        raise ValueError("chain of depth %d cannot fill %d states" % (chain.depth, n))
-    return OscillatorOperators(chain.b[: n - 1].copy())
+    return OscillatorOperators(chain.b[: chain.states(dim) - 1].copy())
 
 
 def commutator(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -137,11 +124,11 @@ def spectrum(ops):
 def expected_truncated_spectrum(chain, dim: int | None = None) -> np.ndarray:
     """lambda_n = 2 (b_{n-1}^2 + b_n^2) for the symmetric build.
 
-    Only the coefficients that actually enter the dim-dimensional operator
-    (b_0 .. b_{dim-2}) are used; the level above the cut contributes zero,
+    Only the coefficients that actually enter the operator on
+    chain.states(dim) states (b_0 .. b_{dim-2}) are used; the level above the cut contributes zero,
     which reproduces the truncation value lambda_top = 2 b_{top-1}^2.
     """
     chain = as_chain(chain)
-    n = _dim_for(chain) if dim is None else dim
+    n = chain.states(dim)
     b2 = _padded_band(chain.b, n) ** 2
     return 2.0 * (b2[:-1] + b2[1:])

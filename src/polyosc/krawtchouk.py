@@ -117,11 +117,6 @@ def ktilde(n: int, x, p: float, N: int):
     return _norm_factors(float(p), int(N))[n] * poly
 
 
-def khat(n: int, x, p: float, N: int):
-    """Sign-flipped family (-1)^n kt_n: orthonormal for the positive chain."""
-    return (-1) ** n * np.asarray(ktilde(n, x, p, N))
-
-
 def recurrence_chain(p: float, N: int) -> RecurrenceCoefficients:
     """The chain whose orthonormal family is kt_n.
 
@@ -139,8 +134,8 @@ def symmetric_chain(p: float, N: int) -> RecurrenceCoefficients:
     """Zero-diagonal chain b_{n-1}^2 = p(1-p) n (N-n+1) (so b_N = 0).
 
     This is the chain the oscillator constructions consume; its orthonormal
-    family is the sign-flipped khat (the diagonal is removed by symmetrizing
-    the measure, the sign by conjugation with diag((-1)^n)).
+    family is the sign-flipped (-1)^n kt_n (the diagonal is removed by
+    symmetrizing the measure, the sign by conjugation with diag((-1)^n)).
     """
     _check_pn(p, N)
     n = np.arange(N + 1, dtype=float)
@@ -225,7 +220,7 @@ def dual_orthogonality_residuals(p: float, N: int) -> tuple[float, float]:
     first = c[:, None] * ((plain * rho) @ plain.T) * c[None, :] - eye
     # kt_x(n) = c_x K_x(n) = c_x K_n(x) by self-duality: contract over rows
     second = c[:, None] * (plain.T @ (rho[:, None] * plain)) * c[None, :] - eye
-    return float(np.max(np.abs(first))), float(np.max(np.abs(second)))
+    return worst_of(np.abs(first)), worst_of(np.abs(second))
 
 
 def difference_equation_residual(p: float, N: int) -> float:
@@ -317,7 +312,7 @@ def ladder_commutator_residual(osc: LatticeOscillator) -> float:
     """|| [lower, raise] - (N - 2 number) ||_max for the scaled ladders."""
     want = np.diag(osc.N - 2.0 * np.arange(osc.dim, dtype=float)).astype(complex)
     got = commutator(osc.lower, osc.raise_)
-    return float(np.max(np.abs(got - want)))
+    return worst_of(np.abs(got - want))
 
 
 def polynomial_ladders(p: float, N: int):
@@ -374,10 +369,7 @@ def grid_orthogonality_residuals(p: float, N: int) -> tuple[float, float]:
     """Row and column orthonormality defects of the Psi table."""
     psi = grid_functions(p, N)
     eye = np.eye(N + 1)
-    return (
-        float(np.max(np.abs(psi @ psi.T - eye))),
-        float(np.max(np.abs(psi.T @ psi - eye))),
-    )
+    return worst_of(np.abs(psi @ psi.T - eye)), worst_of(np.abs(psi.T @ psi - eye))
 
 
 def _alpha(j, N: int):
@@ -432,15 +424,7 @@ def grid_factorization_residual(p: float, N: int) -> float:
     H = grid_hamiltonian(p, N)
     a_plus, a_minus = grid_ladders(p, N)
     want = 0.5 * commutator(a_plus, a_minus) + 0.5 * (N + 1) * np.eye(N + 1)
-    return float(np.max(np.abs(H - want)))
-
-
-def grid_eigen_residual(p: float, N: int) -> float:
-    """Max_n || H_grid Psi_n - (n + 1/2) Psi_n ||_max."""
-    H = grid_hamiltonian(p, N)
-    psi = grid_functions(p, N)
-    lam = np.arange(N + 1, dtype=float) + 0.5
-    return float(np.max(np.abs(H @ psi.T - psi.T * lam[None, :])))
+    return worst_of(np.abs(H - want))
 
 
 def grid_ladder_action_residual(p: float, N: int) -> float:
@@ -502,11 +486,11 @@ def hamiltonian_relation_residual(p: float, N: int) -> float:
     T = polynomial_to_grid_map(p, N)
     Hg = T.T @ grid_hamiltonian(p, N) @ T
     osc = build_lattice_oscillator(p, N)
-    # the lattice Hamiltonian is diagonal in the khat basis; conjugation by
-    # diag((-1)^n) is a no-op on it, so it can be compared directly
+    # the lattice Hamiltonian is diagonal in the (-1)^n kt_n basis;
+    # conjugation by diag((-1)^n) is a no-op on it, so it can be compared directly
     Hk = osc.hamiltonian.real
     shift = Hg - 0.5 * np.eye(N + 1)
-    return float(np.max(np.abs(Hk + shift @ shift - N * Hg)))
+    return worst_of(np.abs(Hk + shift @ shift - N * Hg))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .polyrec import RecurrenceCoefficients, gauss_quadrature, node_table
+from .polyrec import RecurrenceCoefficients, as_chain, gauss_quadrature, node_table, worst_of
 
 # Pivot smaller than this fraction of the leading pivot means the measure's
 # support is exhausted at that depth.
@@ -158,7 +158,21 @@ def verify_canonical_orthogonality(chain, degree: int) -> float:
     nodes, weights = gauss_quadrature(chain, degree + 1)
     table = node_table(chain, degree, nodes, "orthonormal")
     gram = (table * weights) @ table.T
-    return float(np.max(np.abs(gram - np.eye(degree + 1))))
+    return worst_of(np.abs(gram - np.eye(degree + 1)))
+
+
+def moment_round_trip(chain, count: int):
+    """Round trip b -> mu -> b through the chain's own (count + 1)-point Gauss rule.
+
+    Returns (moments, recovered, relative): the even moments
+    mu_0..mu_{2 count} of the rule, the chain recovered from them
+    (b_0..b_{count-1}) and |recovered b_k - b_k| / |b_k| for each k.
+    """
+    chain = as_chain(chain)
+    nodes, weights = gauss_quadrature(chain, count + 1)
+    moments = MomentSequence.from_quadrature(nodes, weights, count + 1)
+    back = coefficients_from_moments(moments, count)
+    return moments, back, np.abs(back.b - chain.b[:count]) / np.abs(chain.b[:count])
 
 
 def gaussian_even_moments(count: int) -> MomentSequence:

@@ -98,6 +98,25 @@ class RecurrenceCoefficients:
         """True when trailing zeros in b close the space (valid_depth < depth)."""
         return self.valid_depth < self.depth
 
+    def states(self, dim: int | None = None) -> int:
+        """Dimension of the state space an operator of this chain acts on.
+
+        dim itself when it lies in 1..valid_depth + 1, else ChainError; by
+        default valid_depth + 1, which is N + 1 for a chain closed by b_N = 0
+        and depth + 1 for an open chain.  A state past the first zero b would
+        decouple from the rest.
+        """
+        top = self.valid_depth + 1
+        if dim is None:
+            return top
+        if dim < 1:
+            raise ChainError("dim must be >= 1, got %d" % dim)
+        if dim > top:
+            raise ChainError(
+                "need %d nonzero coefficients, chain has %d" % (dim - 1, self.valid_depth)
+            )
+        return dim
+
     @property
     def symmetric(self) -> bool:
         return self.a is None or not np.any(self.a)
@@ -209,42 +228,11 @@ def eval_monic_tilde(chain, n: int, x):
     return _last_row(node_table(chain, n, x, "monic_tilde"))
 
 
-def monic_tilde_coefficients(chain, n: int) -> np.ndarray:
-    """Monomial coefficient array (ascending powers) of psit_n."""
-    chain = as_chain(chain)
-    tb2 = 2.0 * chain.b.astype(_LD) ** 2
-    ckm1 = np.zeros(1, dtype=_LD)
-    ck = np.ones(1, dtype=_LD)
-    for k in range(n):
-        shifted = np.concatenate(([0.0], ck))
-        prev = np.concatenate((ckm1, np.zeros(len(shifted) - len(ckm1), dtype=_LD)))
-        ckm1, ck = ck, shifted - (tb2[k - 1] if k > 0 else 0.0) * prev
-    return ck.astype(float)
-
-
 def _eigh_tridiagonal(diag, off, eigvals_only=False):
     """Eigenvalues (ascending), and unit eigenvectors as columns unless
     eigvals_only, of the symmetric tridiagonal matrix with the given bands."""
     mat = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
     return np.linalg.eigvalsh(mat) if eigvals_only else np.linalg.eigh(mat)
-
-
-def jacobi_matrix(chain, size: int) -> np.ndarray:
-    """Dense symmetric Jacobi matrix of the given size.
-
-    Diagonal a_0..a_{size-1} (zero for symmetric chains), off-diagonal
-    b_0..b_{size-2}.  The eigenvalues are the roots of psi_size.
-    """
-    chain = as_chain(chain)
-    if size < 1:
-        raise ValueError("size must be >= 1")
-    if size - 1 > chain.depth:
-        raise ChainError("chain too short for a %dx%d Jacobi matrix" % (size, size))
-    diag = np.zeros(size)
-    if chain.a is not None:
-        diag[: min(size, len(chain.a))] = chain.a[:size]
-    off = chain.b[: size - 1]
-    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
 
 
 @dataclass

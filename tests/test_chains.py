@@ -41,6 +41,8 @@ def test_gaussian_moment_chain_matches_unit_normal():
 def test_resolve_names():
     assert resolve_chain("boson", depth=4).depth == 4
     assert resolve_chain("hermite", N=7).depth == 8
+    assert resolve_chain("hermite", N=7).label == "hermite"
+    assert np.array_equal(resolve_chain("boson", N=7).b, resolve_chain("hermite", N=7).b)
     assert resolve_chain("krawtchouk", p=0.5, N=3).valid_depth == 3
     assert resolve_chain("gaussian-moments", depth=4).depth == 4
 

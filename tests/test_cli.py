@@ -46,6 +46,16 @@ class TestSpectrumCommand:
         assert rc == 1
         assert json.loads(out)["pass"] is False
 
+    def test_dim_past_the_truncation_is_a_usage_error(self, capsys):
+        # b_10 = 0 closes the chain at 11 states; spectrum and coherent agree
+        for command in (["spectrum"], ["coherent", "--z", "0.5", "0.2"]):
+            rc, out, err = run(capsys, command + [
+                "--chain", "krawtchouk", "--p", "0.3", "--N", "10", "--dim", "12",
+            ])
+            assert rc == 2
+            assert out == ""
+            assert "need 11 nonzero coefficients, chain has 10" in err
+
     def test_diagonal_chain_is_a_usage_error(self, capsys, tmp_path):
         f = tmp_path / "diag.json"
         f.write_text(json.dumps({"b": [1.0, 1.0], "a": [0.5, 0.5]}))
@@ -354,9 +364,10 @@ class TestEnvironmentAndUsage:
         assert "polyosc" in capsys.readouterr().out
 
     def test_unknown_chain_name(self, capsys):
-        rc, _, err = run(capsys, ["spectrum", "--chain", "mystery-chain"])
-        assert rc == 2
-        assert "unknown chain" in err
+        for name in ("mystery-chain", "hermite-monic"):
+            rc, _, err = run(capsys, ["spectrum", "--chain", name])
+            assert rc == 2
+            assert "unknown chain" in err
 
 
 class TestVerifyCommand:
@@ -372,6 +383,15 @@ class TestVerifyCommand:
         rc, out, _ = run(capsys, ["verify"])
         assert rc == 0
         assert "10/10 criteria passed" in out
+
+    def test_text_report_to_file(self, capsys, tmp_path):
+        target = tmp_path / "verify.txt"
+        rc, out, _ = run(capsys, ["verify", "--out", str(target)])
+        assert rc == 0
+        assert out == ""
+        lines = target.read_text().splitlines()
+        assert len(lines) == 11
+        assert lines[-1] == "10/10 criteria passed"
 
 
 def test_commands_run_without_scipy():

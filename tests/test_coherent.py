@@ -15,18 +15,47 @@ from polyosc import (
     coherent_via_exponential,
     coherent_via_recurrence,
     construct_resolution_measure,
-    gamma_coefficients,
     krawtchouk,
     node_sum_profile,
     profile_normalization,
     quadrature_profile,
     resolution_residuals,
     root_identity_residuals,
+    route_agreement,
     transfer_closed_form,
     transfer_coefficients,
     zero_value_residual,
 )
 from conftest import random_truncated_chain
+
+
+def gamma_coefficients(chain, nmax: int, mmax: int, dim: int | None = None) -> np.ndarray:
+    """Even-displacement weights gamma[n, m] = d[n + 2m, n].
+
+    Filled by their own recurrence
+        gamma[n+1, m] = theta_{n+1} gamma[n, m]
+                        + 2 b_{n+1}^2 theta_{n+2} gamma[n+2, m-1],
+        gamma[0, m] = 2 b_0^2 theta_1 gamma[1, m-1],   gamma[0, 0] = 1,
+    with theta_k = 1 for k <= N and 0 above; the working n-range extends to
+    nmax + 2 mmax so the m-1 column reaches far enough.  An oracle for
+    transfer_coefficients that runs along the other diagonal of d.
+    """
+    b, N = coherent._truncation(chain, dim)
+    width = nmax + 2 * mmax
+    bb = np.zeros(width + 2)
+    used = min(N + 1, width + 2)
+    bb[:used] = b[:used]
+    theta = (np.arange(width + 3) <= N).astype(float)
+    g = np.zeros((width + 1, mmax + 1))
+    g[0, 0] = 1.0
+    for n in range(width):  # m = 0 column: product of thetas
+        g[n + 1, 0] = theta[n + 1] * g[n, 0]
+    for m in range(1, mmax + 1):
+        g[0, m] = 2.0 * bb[0] ** 2 * theta[1] * (g[1, m - 1] if width >= 1 else 0.0)
+        for n in range(width):
+            carry = g[n + 2, m - 1] if n + 2 <= width else 0.0
+            g[n + 1, m] = theta[n + 1] * g[n, m] + 2.0 * bb[n + 1] ** 2 * theta[n + 2] * carry
+    return g[: nmax + 1, :]
 
 TWO_LEVEL = RecurrenceCoefficients(b=[2.0 ** -0.5, 0.0])
 
@@ -69,6 +98,31 @@ class TestThreeWayAgreement:
             assert np.max(np.abs(a - c)) < 1e-10
             for state in (a, b, c):
                 assert np.linalg.norm(state) == pytest.approx(1.0, abs=1e-10)
+
+    def test_route_agreement_report(self):
+        ch = krawtchouk.symmetric_chain(0.4, 6)
+        states = {
+            "exponential": coherent_via_exponential(ch, 1.0 + 0.5j),
+            "series": coherent_via_recurrence(ch, 1.0 + 0.5j),
+            "closed_form": coherent_closed_form(ch, 1.0 + 0.5j),
+        }
+        got = route_agreement(states)
+        assert list(got) == ["norms", "overlaps", "worst_overlap_deficit", "worst_norm_deficit"]
+        assert list(got["overlaps"]) == [
+            "exponential|series", "exponential|closed_form", "series|closed_form",
+        ]
+        assert got["worst_overlap_deficit"] < 1e-12
+        assert got["worst_norm_deficit"] < 1e-12
+
+    def test_route_agreement_flags_disagreement(self):
+        e0, e1 = np.eye(2, dtype=complex)
+        got = route_agreement({"u": e0, "v": 2.0 * e1})
+        assert got["overlaps"] == {"u|v": 0.0}
+        assert got["worst_overlap_deficit"] == 1.0
+        assert got["worst_norm_deficit"] == 1.0
+        nan = route_agreement({"u": e0, "v": np.full(2, np.nan + 0j)})
+        assert nan["worst_overlap_deficit"] == np.inf
+        assert nan["worst_norm_deficit"] == np.inf
 
     def test_zero_displacement_is_vacuum(self):
         ch = RecurrenceCoefficients(b=[1.0, 0.5, 0.0])
@@ -313,6 +367,10 @@ class TestIdentityLedger:
         monkeypatch.setattr(coherent, "node_table", poisoned)
         assert zero_value_residual(boson_chain(9), dim=9) == np.inf
         assert alternating_even_residual(boson_chain(9), dim=9) == np.inf
+        assert alternating_square_residual(boson_chain(9), dim=9) == np.inf
+        roots = root_identity_residuals(boson_chain(9), dim=9)
+        assert set(roots) == {"kernel", "alternating", "cross", "center", "even_alt"}
+        assert all(v == np.inf for v in roots.values())
 
     def test_even_truncation_extras_present(self):
         out = root_identity_residuals(krawtchouk.symmetric_chain(0.5, 6))

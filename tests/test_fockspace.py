@@ -187,12 +187,20 @@ def test_expected_spectrum_open_chain_uses_window_only():
     assert np.allclose(want, [1.0, 3.0, 5.0, 2.0 * 3 / 2.0 + 0.0 * 4])
 
 
-def test_number_operator_and_dim(rng):
+def test_default_dim_is_the_chain_states(rng):
     ch = random_truncated_chain(rng)
     ops = build_symmetric_oscillator(ch)
-    Nop = ops.number_operator()
-    assert Nop.shape == (ops.dim, ops.dim)
-    assert np.allclose(np.diag(Nop), np.arange(ops.dim))
+    assert ops.dim == ch.states() == ch.valid_depth + 1
+    assert len(expected_truncated_spectrum(ch)) == ops.dim
+
+
+def test_dim_past_the_first_zero_raises():
+    # b_10 = 0: the 12th state would decouple with level 0
+    ch = kr.symmetric_chain(0.3, 10)
+    for build in (build_symmetric_oscillator, expected_truncated_spectrum):
+        with pytest.raises(ChainError, match="need 11 nonzero coefficients, chain has 10"):
+            build(ch, dim=12)
+    assert build_symmetric_oscillator(ch, dim=11).dim == 11
 
 
 def test_commutator_helper():

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from polyosc import RecurrenceCoefficients
 from polyosc import krawtchouk as kr
 from polyosc.polyrec import eval_orthonormal, node_table
 
@@ -153,10 +154,13 @@ class TestPolynomialTable:
             assert np.max(np.abs(plain - plain.T)) < 1e-11
 
     def test_sign_flip_family(self):
+        # (-1)^n kt_n is the orthonormal family of the chain with b_n > 0
         p, N = 0.4, 5
+        chain = kr.recurrence_chain(p, N)
+        positive = RecurrenceCoefficients(b=-chain.b, a=chain.a)
         for n in range(N + 1):
             for x in (0, 2, 5):
-                assert kr.khat(n, x, p, N) == pytest.approx(
+                assert eval_orthonormal(positive, n, x) == pytest.approx(
                     (-1.0) ** n * kr.ktilde(n, x, p, N)
                 )
 
@@ -241,6 +245,8 @@ class TestOrthogonality:
             return out
 
         monkeypatch.setattr(kr, "ktilde_table", poisoned)
+        assert kr.dual_orthogonality_residuals(0.3, 8) == (np.inf, np.inf)
+        assert kr.grid_orthogonality_residuals(0.3, 8) == (np.inf, np.inf)
         assert kr.difference_equation_residual(0.3, 8) == np.inf
         assert kr.grid_ladder_action_residual(0.3, 8) == np.inf
         assert kr.difference_form_residual(0.3, 8) == np.inf
@@ -315,7 +321,11 @@ class TestGridSide:
             assert kr.grid_factorization_residual(p, 12) < 1e-11
 
     def test_eigenfunctions(self):
-        assert kr.grid_eigen_residual(0.35, 10) < 1e-11
+        # H_grid Psi_n = (n + 1/2) Psi_n; column n of psi.T is Psi_n
+        p, N = 0.35, 10
+        psi = kr.grid_functions(p, N)
+        lam = np.arange(N + 1) + 0.5
+        assert np.max(np.abs(kr.grid_hamiltonian(p, N) @ psi.T - psi.T * lam)) < 1e-11
 
     def test_ladder_action_small_case(self):
         # N = 1: Psi has two levels; lowering the top one must return

@@ -9,6 +9,7 @@ from polyosc.momentsys import (
     SupportExhaustedError,
     coefficients_from_moments,
     gaussian_even_moments,
+    moment_round_trip,
     two_point_even_moments,
     verify_canonical_orthogonality,
 )
@@ -47,6 +48,17 @@ def test_round_trip_fixed_chain():
     mom = MomentSequence.from_quadrature(nodes, w, 6)
     back = coefficients_from_moments(mom, 5)
     assert np.max(np.abs(back.b - b) / b) < 1e-11
+
+
+def test_moment_round_trip_recipe():
+    ch = RecurrenceCoefficients(b=[0.8, 1.7, 0.45, 1.05, 1.9])
+    mom, back, rel = moment_round_trip(ch, 4)
+    nodes, w = gauss_quadrature(ch, 5)
+    want = MomentSequence.from_quadrature(nodes, w, 5)
+    assert np.array_equal(mom.even, want.even)
+    assert np.array_equal(back.b, coefficients_from_moments(want, 4).b)
+    assert np.array_equal(rel, np.abs(back.b - ch.b[:4]) / ch.b[:4])
+    assert np.max(rel) < 1e-11
 
 
 @given(st.lists(st.floats(0.5, 1.8), min_size=2, max_size=6))

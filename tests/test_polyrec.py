@@ -14,14 +14,26 @@ from polyosc import (
     gauss_quadrature,
     index_double_factorials,
     index_factorials,
-    jacobi_matrix,
-    monic_tilde_coefficients,
     roots,
     tilde_quadrature,
 )
 from polyosc import gaussian_moment_chain, hermite_chain, krawtchouk, krawtchouk_chain, polyrec
 from polyosc.polyrec import node_table
 from conftest import random_truncated_chain
+
+
+def monic_tilde_coefficients(chain, n: int) -> np.ndarray:
+    """Monomial coefficient array (ascending powers) of psit_n: the tilde
+    recurrence run on coefficient arrays, an oracle independent of node_table."""
+    tb2 = 2.0 * chain.b.astype(np.longdouble) ** 2
+    ckm1 = np.zeros(1, dtype=np.longdouble)
+    ck = np.ones(1, dtype=np.longdouble)
+    for k in range(n):
+        shifted = np.concatenate(([0.0], ck))
+        prev = np.concatenate((ckm1, np.zeros(len(shifted) - len(ckm1), dtype=np.longdouble)))
+        ckm1, ck = ck, shifted - (tb2[k - 1] if k > 0 else 0.0) * prev
+    return ck.astype(float)
+
 
 b_values = st.lists(st.floats(0.3, 2.0), min_size=1, max_size=8)
 
@@ -121,6 +133,25 @@ class TestIndexFactorials:
         fact = index_factorials(2.0 * boson_chain(200).b ** 2, 200)
         assert np.all(np.isfinite(fact))
         assert float(np.log10(fact[200])) == pytest.approx(math.lgamma(201) / math.log(10), rel=1e-14)
+
+
+class TestStates:
+    def test_default_is_valid_depth_plus_one(self):
+        assert RecurrenceCoefficients(b=[1.0, 2.0, 0.0, 0.0]).states() == 3
+        assert boson_chain(5).states() == 6
+
+    def test_dim_in_range_is_returned(self):
+        ch = RecurrenceCoefficients(b=[1.0, 2.0, 0.0, 0.0])
+        assert [ch.states(d) for d in (1, 2, 3)] == [1, 2, 3]
+
+    @pytest.mark.parametrize("b, dim", [
+        ([1.0, 2.0, 0.0, 0.0], 4),  # past the first zero: a decoupled state
+        ([1.0, 2.0, 0.0, 0.0], 0),
+        ([1.0, 2.0], 4),  # past the end of an open chain
+    ])
+    def test_dim_out_of_range_raises(self, b, dim):
+        with pytest.raises(ChainError):
+            RecurrenceCoefficients(b=b).states(dim)
 
 
 class TestEvaluation:
@@ -229,7 +260,8 @@ class TestRoots:
         if deg < 2:
             deg = 2
             ch = RecurrenceCoefficients(b=[0.9, 1.4])
-        vals = np.linalg.eigvalsh(jacobi_matrix(ch, deg))
+        off = ch.b[: deg - 1]
+        vals = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
         assert np.allclose(np.sort(np.sqrt(2.0) * vals), roots(ch, deg).x, atol=1e-9)
 
     def test_backward_error_is_small_at_depth(self):
