@@ -38,21 +38,18 @@ from .fockspace import (
     spectrum,
 )
 from .coherent import (
-    alternating_even_residual,
-    alternating_square_residual,
     coherent_closed_form,
     coherent_via_exponential,
     coherent_via_recurrence,
     construct_resolution_measure,
+    identity_residuals,
     node_sum_profile,
     profile_normalization,
     quadrature_profile,
     resolution_residuals,
-    root_identity_residuals,
     route_agreement,
     transfer_closed_form,
     transfer_coefficients,
-    zero_value_residual,
 )
 from .chains import (
     boson_chain,
@@ -91,21 +88,18 @@ __all__ = [
     "expected_truncated_spectrum",
     "ladder_commutator_defect",
     "spectrum",
-    "alternating_even_residual",
-    "alternating_square_residual",
     "coherent_closed_form",
     "coherent_via_exponential",
     "coherent_via_recurrence",
     "construct_resolution_measure",
+    "identity_residuals",
     "node_sum_profile",
     "profile_normalization",
     "quadrature_profile",
     "resolution_residuals",
-    "root_identity_residuals",
     "route_agreement",
     "transfer_closed_form",
     "transfer_coefficients",
-    "zero_value_residual",
     "boson_chain",
     "chain_from_file",
     "gaussian_moment_chain",

@@ -154,11 +154,7 @@ def criterion_6() -> CriterionResult:
         for p in (0.3, 0.5, 0.7):
             chains.append(("krawtchouk", kr.symmetric_chain(p, N), None))
     for label, chain, dim in chains:
-        r_sq = co.alternating_square_residual(chain, dim=dim)
-        r_ev = co.alternating_even_residual(chain, dim=dim)
-        r_zero = co.zero_value_residual(chain, dim=dim)
-        roots = co.root_identity_residuals(chain, dim=dim)
-        for key, val in dict(roots, square=r_sq, even_sum=r_ev, zero=r_zero).items():
+        for key, val in co.identity_residuals(chain, dim=dim).items():
             pieces[key] = worst_of(pieces.get(key, 0.0), val)
             worst = worst_of(worst, val)
     detail = ", ".join("%s %.0e" % (k, v) for k, v in sorted(pieces.items()))

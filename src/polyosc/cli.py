@@ -256,8 +256,6 @@ def _parse_sweep(expr: str):
 
 
 def cmd_krawtchouk(args):
-    if args.N is None:
-        raise ValueError("krawtchouk needs --N")
     tol = args.tol
     if args.sweep:
         _, values = _parse_sweep(args.sweep)

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import polyrec
 from .polyrec import (
     RecurrenceCoefficients,
     as_chain,
@@ -48,12 +49,13 @@ from .polyrec import (
 )
 from .fockspace import build_symmetric_oscillator
 
-_LD = np.longdouble
 # The series route raises once eps * sum |terms| passes the package's default
 # tolerance (also criterion 4's norm bound); a row below _SERIES_QUIET of the
 # running amplitudes is negligible.
 _SERIES_ERROR_LIMIT = 1e-8
 _SERIES_QUIET = 1e-15
+# (-i)^l for l mod 4, exact
+_MINUS_I_POWERS = np.array([1.0, -1j, -1.0, 1j])
 
 
 def _truncation(chain, dim=None):
@@ -74,6 +76,17 @@ def _tilde_rule(b: np.ndarray, N: int):
     the psit_0..psit_N table at its nodes (rows l, columns k)."""
     x, w = tilde_quadrature(RecurrenceCoefficients(b=b[:N]), N + 1)
     return x, w, node_table(b, N, x, "monic_tilde")
+
+
+def _phase_powers(z: complex, N: int) -> np.ndarray:
+    """e^{i theta l} for l = 0..N, theta = arg z, as one exp per l.
+
+    The complex power (e^{i theta})^l drifts off the unit circle by about one
+    ulp per factor (2.9e-14 by l = 400); exp of the product theta l stays
+    within an ulp of it.  The angle, not z / |z|: NumPy divides by
+    multiplying with 1 / |z|, which is inf for a subnormal |z|.
+    """
+    return np.exp(1j * (np.angle(z) * np.arange(N + 1)))
 
 
 def _profiles(rule, radii) -> np.ndarray:
@@ -133,7 +146,7 @@ def transfer_closed_form(chain, nmax: int, dim: int | None = None) -> np.ndarray
     out = np.zeros((nmax + 1, N + 1))
     xp = np.ones_like(x)
     for n in range(nmax + 1):
-        out[n] = np.asarray((u * (w.astype(_LD) * xp)[None, :]).sum(axis=1), dtype=float)
+        out[n] = np.asarray((u * (w.astype(polyrec._LD) * xp)[None, :]).sum(axis=1), dtype=float)
         xp = xp * x
     return out
 
@@ -177,9 +190,7 @@ def coherent_via_recurrence(
         if np.max(np.abs(f)) < _SERIES_QUIET * max(1.0, np.max(np.abs(acc))):
             quiet += 1
             if quiet >= 2:
-                # e^{i theta} from the angle: NumPy's z / r multiplies by
-                # 1 / r, which overflows for a subnormal |z|
-                return np.exp(1j * np.angle(z)) ** np.arange(N + 1) * acc
+                return _phase_powers(z, N) * acc
         else:
             quiet = 0
     raise ArithmeticError(
@@ -213,9 +224,9 @@ def coherent_closed_form(chain, z: complex, dim: int | None = None) -> np.ndarra
     r = abs(z)
     work = RecurrenceCoefficients(b=b[:N])
     y, w = gauss_quadrature(work, N + 1)
-    amp = node_table(work, N, y, "orthonormal") @ (w * np.exp(1j * r * np.sqrt(_LD(2.0)) * y))
-    # -i e^{i arg z}, not -i z / r: NumPy multiplies by 1 / r, inf for a subnormal r
-    return (-1j * np.exp(1j * np.angle(z))) ** np.arange(N + 1) * np.asarray(amp, dtype=complex)
+    phases = np.exp(1j * r * np.sqrt(polyrec._LD(2.0)) * y)
+    amp = np.asarray(node_table(work, N, y, "orthonormal") @ (w * phases), dtype=complex)
+    return _phase_powers(z, N) * _MINUS_I_POWERS[np.arange(N + 1) % 4] * amp
 
 
 def route_agreement(states: dict) -> dict:
@@ -269,112 +280,95 @@ def profile_normalization(chain, dim: int | None = None) -> float:
 
 
 # ---------------------------------------------------------------------------
-# identity battery: finite-sum identities behind the closed form's phase
-# cancellations.  Each returns a residual normalized by the largest summand
-# magnitude entering it.
+# identity ledger: finite-sum identities behind the closed form's phase
+# cancellations.  Each identity has one evaluator, taking the points and the
+# psit_0..psit_{N+1} table there; the ones that hold for every real x run at
+# 41 points past the spectrum and at the truncation roots.
 
 
-def _identity_table(b: np.ndarray, N: int):
-    """41 points x past the chain's spectrum on both sides, where identities
-    that hold for every real x are checked, and psit_0..psit_{N+1} there."""
-    xmax = 2.0 * np.sqrt(2.0) * (np.max(np.abs(b)) + 1.0) * np.sqrt(N + 1.0)
-    xs = np.linspace(-xmax, xmax, 41)
-    return xs, node_table(b, N + 1, xs, "monic_tilde")
-
-
-def alternating_square_residual(chain, dim: int | None = None) -> float:
-    """Identity: x sum_l (-1)^l psit_l(x)^2/(2b^2_{l-1})! equals
-    (-1)^N psit_{N+1}(x) psit_N(x)/(2b^2_{N-1})!, for every real x."""
-    b, N = _truncation(chain, dim)
-    xs, table = _identity_table(b, N)
-    hl = index_factorials(2.0 * b**2, N)
-    summands = (-1.0) ** np.arange(N + 1)[:, None] * table[: N + 1] ** 2 / hl[:, None]
-    lhs = xs * summands.sum(axis=0)
-    rhs = (-1.0) ** N * table[N + 1] * table[N] / hl[N]
-    scale = np.maximum(np.max(np.abs(summands * xs[None, :]), axis=0), np.abs(rhs))
-    scale = np.maximum(scale, 1.0)
+def _relative_defect(lhs, rhs, biggest) -> float:
+    """worst |lhs - rhs| / max(biggest, |rhs|, 1) over the points, where
+    biggest is the largest summand entering lhs at each point."""
+    scale = np.maximum(np.maximum(biggest, np.abs(rhs)), 1.0)
     return worst_of(np.abs(lhs - rhs) / scale)
 
 
-def alternating_even_residual(chain, dim: int | None = None) -> float:
-    """Identity: x sum_{p<=m} (-1)^p psit_{2p}(x)/(2b^2_{2p-1})!! equals
-    (-1)^m psit_{2m+1}(x)/(2b^2_{2m-1})!!, with m = floor(N/2)."""
-    b, N = _truncation(chain, dim)
-    m = N // 2
-    xs, table = _identity_table(b, N)
-    dfac = index_double_factorials(2.0 * b**2, 1, m)
-    rows = np.array([(-1.0) ** p * table[2 * p] / dfac[p] for p in range(m + 1)])
-    lhs = xs * rows.sum(axis=0)
-    rhs = (-1.0) ** m * table[2 * m + 1] / dfac[m]
-    scale = np.maximum(np.max(np.abs(rows * xs[None, :]), axis=0), np.abs(rhs))
-    scale = np.maximum(scale, 1.0)
-    return worst_of(np.abs(lhs - rhs) / scale)
+def _x_sum_defect(x, terms, rhs=0.0) -> float:
+    """The relative defect of x sum_l terms[l] = rhs at each point x."""
+    return _relative_defect(x * terms.sum(axis=0), rhs, np.abs(x) * np.max(np.abs(terms), axis=0))
 
 
-def zero_value_residual(chain, dim: int | None = None) -> float:
-    """Check psit_{2p}(0) = (-1)^p 2b_0^2 2b_2^2 ... 2b_{2p-2}^2 (even p steps)."""
-    b, N = _truncation(chain, dim)
-    P = (N + 1) // 2
-    got = node_table(b, N + 1, 0.0, "monic_tilde")[0::2]
-    want = (-1.0) ** np.arange(P + 1) * index_double_factorials(2.0 * b**2, 0, P)
-    return worst_of(np.abs(got - want) / np.maximum(1.0, np.abs(want)))
+def _square_identity(x, table, h) -> float:
+    """x sum_l (-1)^l psit_l^2 / h_l = (-1)^N psit_{N+1} psit_N / h_N, with
+    h_l = (2b^2_{l-1})! for l = 0..N."""
+    N = len(h) - 1
+    terms = (-1.0) ** np.arange(N + 1)[:, None] * table[: N + 1] ** 2 / h[:, None]
+    return _x_sum_defect(x, terms, (-1.0) ** N * table[N + 1] * table[N] / h[N])
 
 
-def root_identity_residuals(chain, dim: int | None = None) -> dict:
-    """The finite-sum identities evaluated at the truncation roots.
+def _even_identity(x, table, dfac) -> float:
+    """x sum_{p<=m} (-1)^p psit_{2p} / dfac_p = (-1)^m psit_{2m+1} / dfac_m,
+    with dfac_p = (2b^2_{2p-1})!! for p = 0..m and m = floor(N/2)."""
+    m = len(dfac) - 1
+    terms = (-1.0) ** np.arange(m + 1)[:, None] * table[0 : 2 * m + 1 : 2] / dfac[:, None]
+    return _x_sum_defect(x, terms, (-1.0) ** m * table[2 * m + 1] / dfac[m])
 
-    Returns a dict of normalized residuals:
 
-    - 'cross':        x_k sum_l s^l psit_l(x_s) psit_l(x_k)/(2b^2_{l-1})! = 0
-                      with s = +1 off the diagonal and s = -1 on it;
-    - 'kernel':       x_s x_k sum_l psit_l(x_s) psit_l(x_k)/(2b^2_{l-1})! = 0
-                      for distinct roots (kernel orthogonality);
-    - 'alternating':  x_k sum_l (-1)^l psit_l(x_k)^2/(2b^2_{l-1})! = 0;
-    - 'center':       x_k sum_p psit_{2p}(0) psit_{2p}(x_k)/(2b^2_{2p-1})! = 0
-                      (even truncation order only);
-    - 'even_alt':     sum_p (-1)^p psit_{2p}(x_k)/(2b^2_{2p-1})!! = 0 at
-                      nonzero roots (even truncation order only).
+def _kernel_identity(x, table, h) -> float:
+    """x_s x_k sum_l psit_l(x_s) psit_l(x_k) / h_l = 0 for distinct roots."""
+    n = len(h)
+    u = table[:n] / h[:, None]
+    gram = u.T @ table[:n]
+    # biggest summand per (s, k) pair, one s at a time: the (n, n, n) array
+    # of all summands costs O(n^3) memory and was slower
+    big = np.array([np.max(np.abs(u[:, s, None] * table[:n]), axis=0) for s in range(n)])
+    xx = np.multiply.outer(x, x)
+    off = ~np.eye(n, dtype=bool)
+    return _relative_defect(xx[off] * gram[off], 0.0, np.abs(xx[off]) * big[off])
+
+
+def identity_residuals(chain, dim: int | None = None) -> dict:
+    """The finite-sum identity ledger of a truncated chain, as residuals
+    relative to max(largest summand, |right side|, 1).  With
+    h_l = (2b^2_{l-1})! and m = floor(N/2):
+
+    - 'square' / 'alternating': x sum_l (-1)^l psit_l^2 / h_l equals
+      (-1)^N psit_{N+1} psit_N / h_N, past the spectrum / at the roots;
+    - 'even_sum' / 'even_alt': x sum_{p<=m} (-1)^p psit_{2p} / (2b^2_{2p-1})!!
+      equals (-1)^m psit_{2m+1} / (2b^2_{2m-1})!!, past the spectrum / at
+      the roots;
+    - 'zero': psit_{2p}(0) = (-1)^p 2b_0^2 2b_2^2 ... 2b_{2p-2}^2;
+    - 'kernel': x_s x_k sum_l psit_l(x_s) psit_l(x_k) / h_l = 0 for
+      distinct roots (kernel orthogonality);
+    - 'center' (even N >= 2 only): x_k sum_p psit_{2p}(0) psit_{2p}(x_k) / h_{2p}
+      = 0 at the roots.
+
+    The roots are the nodes of the chain's polished Gauss rule; a NaN or inf
+    anywhere makes its entry inf.
     """
     b, N = _truncation(chain, dim)
     tb2 = 2.0 * b**2
-    x, _, table = _tilde_rule(b, N)  # table[l, k] = psit_l(x_k)
-    hl = index_factorials(tb2, N)
-    u = table / hl[:, None]
-    out = {}
-
-    # kernel orthogonality at distinct roots
-    gram = u.T @ table  # sum_l psit_l(x_s) psit_l(x_k) / h_l
-    cross = np.abs(x[:, None] * x[None, :] * gram)
-    # normalizing scale: biggest single summand per (s, k) pair
-    big = np.array([np.max(np.abs(u[:, s, None] * table), axis=0) for s in range(N + 1)])
-    big = np.maximum(big * np.maximum(np.abs(x[:, None] * x[None, :]), 1.0), 1.0)
-    mask = ~np.eye(N + 1, dtype=bool)
-    out["kernel"] = worst_of(cross[mask] / big[mask]) if N > 0 else 0.0
-
-    # alternating diagonal
-    signs = (-1.0) ** np.arange(N + 1)
-    diag = x * np.einsum("lk,lk->k", signs[:, None] * u, table)
-    dbig = np.maximum(np.max(np.abs(u * table), axis=0) * np.maximum(np.abs(x), 1.0), 1.0)
-    out["alternating"] = worst_of(np.abs(diag) / dbig)
-
-    # combined form: plain off the diagonal, alternating on it
-    out["cross"] = worst_of(out["kernel"], out["alternating"])
-
+    h = index_factorials(tb2, N)
+    dfac = index_double_factorials(tb2, 1, N // 2)
+    xmax = 2.0 * np.sqrt(2.0) * (np.max(np.abs(b)) + 1.0) * np.sqrt(N + 1.0)
+    past = np.linspace(-xmax, xmax, 41)
+    roots, _ = tilde_quadrature(RecurrenceCoefficients(b=b[:N]), N + 1)
+    past_table = node_table(b, N + 1, past, "monic_tilde")
+    root_table = node_table(b, N + 1, roots, "monic_tilde")
+    at0 = node_table(b, N + 1, 0.0, "monic_tilde")
+    P = (N + 1) // 2
+    zero_want = (-1.0) ** np.arange(P + 1) * index_double_factorials(tb2, 0, P)
+    out = {
+        "square": _square_identity(past, past_table, h),
+        "alternating": _square_identity(roots, root_table, h),
+        "even_sum": _even_identity(past, past_table, dfac),
+        "even_alt": _even_identity(roots, root_table, dfac),
+        "zero": _relative_defect(at0[0::2], zero_want, 0.0),
+        "kernel": _kernel_identity(roots, root_table, h),
+    }
     if N % 2 == 0 and N >= 2:
-        m = N // 2
-        # center coupling (uses the value identity at 0)
-        at0 = node_table(b, N, 0.0, "monic_tilde")
-        rows = np.array([at0[2 * p] * table[2 * p] / hl[2 * p] for p in range(m + 1)])
-        val = x * rows.sum(axis=0)
-        cbig = np.maximum(np.max(np.abs(rows), axis=0) * np.maximum(np.abs(x), 1.0), 1.0)
-        out["center"] = worst_of(np.abs(val) / cbig)
-        # the equivalent alternating even form at nonzero roots
-        dfac = index_double_factorials(tb2, 1, m)
-        rows2 = np.array([(-1.0) ** p * table[2 * p] / dfac[p] for p in range(m + 1)])
-        nz = np.abs(x) > 1e-9
-        val2 = rows2.sum(axis=0)[nz]
-        ebig = np.maximum(np.max(np.abs(rows2), axis=0)[nz], 1.0)
-        out["even_alt"] = worst_of(np.abs(val2) / ebig) if np.any(nz) else 0.0
+        terms = at0[0 : N + 1 : 2, None] * root_table[0 : N + 1 : 2] / h[0::2, None]
+        out["center"] = _x_sum_defect(roots, terms)
     return out
 
 

@@ -24,9 +24,8 @@ from functools import lru_cache
 import numpy as np
 
 from .fockspace import OscillatorOperators, build_symmetric_oscillator, commutator, spectrum
+from . import polyrec
 from .polyrec import RecurrenceCoefficients, _eigh_tridiagonal, worst_of
-
-_LD = np.longdouble
 
 
 def _check_pn(p: float, N: int):
@@ -46,12 +45,12 @@ def krawtchouk_poly(n: int, x, p: float, N: int):
     _check_pn(p, N)
     if not 0 <= n <= N:
         raise ValueError("degree n must be in 0..N")
-    x_arr = np.asarray(x, dtype=_LD)
+    x_arr = np.asarray(x, dtype=polyrec._LD)
     total = np.ones_like(x_arr)
     term = np.ones_like(x_arr)
     for k in range(n):
         # ratio of consecutive terms: (k-n)(k-x) / ((k+1)(k-N) p)
-        term = term * (k - n) * (k - x_arr) / ((k + 1) * (k - N) * _LD(p))
+        term = term * (k - n) * (k - x_arr) / ((k + 1) * (k - N) * polyrec._LD(p))
         total = total + term
     out = np.asarray(total, dtype=float)
     return out if out.ndim else float(out)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import polyrec
 from .polyrec import RecurrenceCoefficients, as_chain, gauss_quadrature, node_table, worst_of
 
 # Pivot smaller than this fraction of the leading pivot means the measure's
@@ -50,7 +51,7 @@ class MomentSequence:
         # amplifies moment error by the Hankel condition number (~1e10 by
         # n = 12), so rounding the moments to float64 here would already
         # spend the entire error budget.
-        ev = np.asarray(even_moments, dtype=np.longdouble)
+        ev = np.asarray(even_moments, dtype=polyrec._LD)
         if ev.ndim != 1 or len(ev) == 0:
             raise ValueError("need a one-dimensional, nonempty even-moment sequence")
         if not np.all(np.isfinite(ev)):
@@ -74,7 +75,7 @@ class MomentSequence:
         """The size x size Hankel matrix H[i, j] = mu_{i+j} (longdouble)."""
         if size > len(self.even):
             raise IndexError("moment mu_%d not available" % (2 * size - 2))
-        H = np.zeros((size, size), dtype=np.longdouble)
+        H = np.zeros((size, size), dtype=polyrec._LD)
         for i in range(size):
             for j in range(i % 2, size, 2):
                 H[i, j] = self.even[(i + j) // 2]
@@ -83,8 +84,8 @@ class MomentSequence:
     @classmethod
     def from_quadrature(cls, nodes, weights, count: int) -> "MomentSequence":
         """Even moments mu_0..mu_{2(count-1)} of a discrete measure."""
-        nodes = np.asarray(nodes, dtype=np.longdouble)
-        weights = np.asarray(weights, dtype=np.longdouble)
+        nodes = np.asarray(nodes, dtype=polyrec._LD)
+        weights = np.asarray(weights, dtype=polyrec._LD)
         ev = [np.sum(weights * nodes ** (2 * k)) for k in range(count)]
         return cls(ev)
 
@@ -98,8 +99,8 @@ def _cholesky_pivots(H: np.ndarray):
     factor anyway, so this is rolled by hand.
     """
     n = H.shape[0]
-    R = np.zeros((n, n), dtype=np.longdouble)
-    H = H.astype(np.longdouble)
+    R = np.zeros((n, n), dtype=polyrec._LD)
+    H = H.astype(polyrec._LD)
     lead = None
     for j in range(n):
         s = H[j, j] - np.sum(R[:j, j] ** 2)

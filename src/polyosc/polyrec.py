@@ -35,6 +35,8 @@ from functools import lru_cache
 
 import numpy as np
 
+# The package's one extended-precision dtype: momentsys, coherent and
+# krawtchouk read it as polyrec._LD at call time, so it has one owner.
 _LD = np.longdouble
 # an eigenpair backward error past this share of ||J||_2 makes roots raise
 _ROOT_RESIDUAL_TOL = 1e-8
@@ -144,7 +146,7 @@ def worst_of(*values) -> float:
     worst = 0.0
     for v in values:
         if np.ndim(v):
-            v = np.max(v) if np.isfinite(v).all() else math.inf
+            v = np.max(v, initial=0.0) if np.isfinite(v).all() else math.inf
         if not math.isfinite(v):
             return math.inf
         worst = max(worst, float(v))
@@ -297,9 +299,9 @@ def _refined_gauss_rule(diag, off, vals):
     the reciprocal kernel diagonal 1 / sum_l psi_l(y_k)^2, which is exact
     for the mu_0 = 1 normalization.
     """
-    dg = np.asarray(diag, dtype=np.longdouble)
-    b2 = np.asarray(off, dtype=np.longdouble) ** 2
-    y = np.asarray(vals, dtype=np.longdouble)
+    dg = np.asarray(diag, dtype=_LD)
+    b2 = np.asarray(off, dtype=_LD) ** 2
+    y = np.asarray(vals, dtype=_LD)
     n = len(dg)
     for _ in range(3):
         pm = np.zeros_like(y)
@@ -307,7 +309,7 @@ def _refined_gauss_rule(diag, off, vals):
         dm = np.zeros_like(y)
         dv = np.zeros_like(y)
         for k in range(n):
-            c = b2[k - 1] if k else np.longdouble(0.0)
+            c = b2[k - 1] if k else _LD(0.0)
             pm, pv, dm, dv = (
                 pv,
                 (y - dg[k]) * pv - c * pm,
@@ -357,12 +359,6 @@ def gauss_quadrature(chain, npoints: int):
             "%d points need b_0..b_%d, past the chain's depth %d"
             % (npoints, npoints - 2, chain.depth)
         )
-    if npoints == 1:
-        a0 = 0.0 if chain.a is None or len(chain.a) == 0 else float(chain.a[0])
-        return (
-            np.array([a0], dtype=np.longdouble),
-            np.array([1.0], dtype=np.longdouble),
-        )
     diag = np.zeros(npoints)
     if chain.a is not None:
         diag[: min(npoints, len(chain.a))] = chain.a[:npoints]
@@ -377,4 +373,4 @@ def gauss_quadrature(chain, npoints: int):
 def tilde_quadrature(chain, npoints: int):
     """Gauss rule transported to the monic-tilde variable (x = sqrt(2) y)."""
     nodes, weights = gauss_quadrature(chain, npoints)
-    return np.sqrt(np.longdouble(2.0)) * nodes, weights
+    return np.sqrt(_LD(2.0)) * nodes, weights

@@ -26,6 +26,9 @@ def test_worst_of_counts_non_finite_as_infinite():
     assert worst_of() == 0.0
     assert worst_of(1e-9, float("nan")) == math.inf
     assert worst_of(np.array([1e-9, np.inf])) == math.inf
+    # an empty array of residuals (no distinct root pair at N = 0) adds nothing
+    assert worst_of(np.array([])) == 0.0
+    assert worst_of(1e-9, np.zeros((0, 3))) == 1e-9
 
 
 def test_nan_closed_form_fails_criterion_4(monkeypatch):

@@ -7,24 +7,21 @@ from hypothesis import strategies as st
 
 from polyosc import (
     RecurrenceCoefficients,
-    alternating_even_residual,
-    alternating_square_residual,
     boson_chain,
     coherent,
     coherent_closed_form,
     coherent_via_exponential,
     coherent_via_recurrence,
     construct_resolution_measure,
+    identity_residuals,
     krawtchouk,
     node_sum_profile,
     profile_normalization,
     quadrature_profile,
     resolution_residuals,
-    root_identity_residuals,
     route_agreement,
     transfer_closed_form,
     transfer_coefficients,
-    zero_value_residual,
 )
 from conftest import random_truncated_chain
 
@@ -237,6 +234,18 @@ class TestClosedFormAtScale:
         assert np.max(np.abs(got - coherent_via_exponential(boson_chain(3), z, dim=3))) < 1e-15
 
 
+class TestPhase:
+    # Both routes turn a state of |z| by e^{i theta l}.  As a complex power
+    # (e^{i theta})^l that factor would drift off the unit circle by about
+    # one ulp per power (1.2e-14 here in the closed form).
+    @pytest.mark.parametrize("route", (coherent_closed_form, coherent_via_recurrence))
+    def test_phase_keeps_the_modulus(self, route):
+        ch, z = boson_chain(401), 0.5 * np.exp(0.7j)
+        turned, plain = route(ch, z, dim=401), route(ch, abs(z), dim=401)
+        nz = plain != 0
+        assert np.max(np.abs(np.abs(turned[nz]) / np.abs(plain[nz]) - 1.0)) <= 1e-15
+
+
 class TestTransferTable:
     def test_hand_case_single_step(self):
         # b = (1, 0): d alternates between the levels with weight 2 b_0^2,
@@ -328,6 +337,9 @@ class TestClosedFormIngredients:
         assert abs(weighted - plain) > 1e-3
 
 
+LEDGER_KEYS = {"square", "alternating", "even_sum", "even_alt", "zero", "kernel"}
+
+
 class TestIdentityLedger:
     @pytest.mark.parametrize("maker", [
         lambda: (boson_chain(14), 9),
@@ -335,25 +347,25 @@ class TestIdentityLedger:
         lambda: (krawtchouk.symmetric_chain(0.3, 9), None),
         lambda: (krawtchouk.symmetric_chain(0.6, 8), None),
         lambda: (boson_chain(201), 200),  # (2b^2)! past the float64 range
+        lambda: (RecurrenceCoefficients(b=[0.0]), None),  # N = 0: no root pair
     ])
     def test_battery(self, maker):
         ch, d = maker()
         dim = d + 1 if d is not None else None
-        assert alternating_square_residual(ch, dim=dim) < 1e-12
-        assert alternating_even_residual(ch, dim=dim) < 1e-12
-        assert zero_value_residual(ch, dim=dim) < 1e-12
-        for key, val in root_identity_residuals(ch, dim=dim).items():
+        for key, val in identity_residuals(ch, dim=dim).items():
             assert val < 1e-12, key
 
     def test_boson_dim_400(self):
-        # the double factorials 2^p p! leave the float64 range near p = 151
-        ch = boson_chain(400)
-        assert alternating_even_residual(ch, dim=400) < 1e-12
-        assert zero_value_residual(ch, dim=400) < 1e-12
+        # odd truncation order N = 399: the double factorials 2^p p! leave
+        # the float64 range near p = 151, and even_alt runs at every root
+        out = identity_residuals(boson_chain(400), dim=400)
+        assert set(out) == LEDGER_KEYS
+        for key, val in out.items():
+            assert val < 1e-12, key
 
     def test_even_alt_past_float64(self):
         # even truncation order N = 320 divides by 2^p p! up to p = 160
-        out = root_identity_residuals(boson_chain(321), dim=321)
+        out = identity_residuals(boson_chain(321), dim=321)
         assert out["even_alt"] < 1e-12
 
     def test_non_finite_table_fails(self, monkeypatch):
@@ -365,22 +377,19 @@ class TestIdentityLedger:
             return out
 
         monkeypatch.setattr(coherent, "node_table", poisoned)
-        assert zero_value_residual(boson_chain(9), dim=9) == np.inf
-        assert alternating_even_residual(boson_chain(9), dim=9) == np.inf
-        assert alternating_square_residual(boson_chain(9), dim=9) == np.inf
-        roots = root_identity_residuals(boson_chain(9), dim=9)
-        assert set(roots) == {"kernel", "alternating", "cross", "center", "even_alt"}
-        assert all(v == np.inf for v in roots.values())
+        out = identity_residuals(boson_chain(9), dim=9)
+        assert set(out) == LEDGER_KEYS | {"center"}
+        assert all(v == np.inf for v in out.values())
 
     def test_even_truncation_extras_present(self):
-        out = root_identity_residuals(krawtchouk.symmetric_chain(0.5, 6))
-        assert {"kernel", "alternating", "cross", "center", "even_alt"} <= set(out)
+        even, odd = krawtchouk.symmetric_chain(0.5, 6), krawtchouk.symmetric_chain(0.5, 7)
+        assert set(identity_residuals(even)) == LEDGER_KEYS | {"center"}
+        assert set(identity_residuals(odd)) == LEDGER_KEYS
 
     def test_random_chains(self, rng):
         for _ in range(5):
             ch = random_truncated_chain(rng, max_levels=7)
-            assert alternating_square_residual(ch) < 1e-11
-            for key, val in root_identity_residuals(ch).items():
+            for key, val in identity_residuals(ch).items():
                 assert val < 1e-11, key
 
 

@@ -331,6 +331,20 @@ class TestQuadrature:
         assert float(nodes[0]) == pytest.approx(0.4)
         assert float(w[0]) == 1.0
 
+    @pytest.mark.parametrize("chain", [
+        boson_chain(5),
+        krawtchouk.recurrence_chain(0.3, 5),
+        RecurrenceCoefficients(b=[1.0, 0.5], a=[0.37, -1.2]),
+        RecurrenceCoefficients(b=[0.0]),
+    ])
+    def test_one_point_rule_is_the_leading_diagonal(self, chain):
+        # the polished path gives node a_0 and weight 1 exactly, in longdouble
+        a0 = chain.diagonal()[0]
+        nodes, w = gauss_quadrature(chain, 1)
+        assert nodes.dtype == w.dtype == np.longdouble
+        assert np.array_equal(nodes, np.array([a0], dtype=np.longdouble))
+        assert np.array_equal(w, np.array([1.0], dtype=np.longdouble))
+
     def test_high_powers_stay_accurate(self):
         # The Newton-polished rule must integrate x^(2k) of its own measure
         # correctly far past what float64 eigenvalues alone would deliver;
@@ -482,3 +496,18 @@ class TestRuleCache:
         coherent_closed_form(chain, 0.4 + 0.3j, dim=30)
         coherent_closed_form(chain, -1.2j, dim=30)
         assert calls == [30]  # one 30-point rule for dim 30
+
+
+def test_extended_dtype_has_one_owner(monkeypatch):
+    # every extended-precision array takes its dtype from polyrec._LD
+    from polyosc import coherent, momentsys
+
+    for module in (coherent, krawtchouk, momentsys):
+        assert "_LD" not in vars(module), module.__name__
+    monkeypatch.setattr(polyrec, "_LD", np.float64)
+    chain = RecurrenceCoefficients(b=[0.61, 1.37, 0.0])
+    assert node_table(chain, 3, [0.5, 1.5], "monic_tilde").dtype == np.float64
+    assert index_factorials([2.0, 3.0], 2).dtype == np.float64
+    assert all(part.dtype == np.float64 for part in fresh_rule(chain, 3))
+    moments = momentsys.MomentSequence([1.0, 0.5])
+    assert moments.even.dtype == moments.hankel(2).dtype == np.float64
