@@ -13,7 +13,6 @@ from .polyrec import (
     RootSet,
     as_chain,
     eval_monic_tilde,
-    eval_orthonormal,
     gauss_quadrature,
     index_double_factorials,
     index_factorials,
@@ -26,15 +25,12 @@ from .momentsys import (
     coefficients_from_moments,
     gaussian_even_moments,
     moment_round_trip,
-    two_point_even_moments,
     verify_canonical_orthogonality,
 )
 from .fockspace import (
     OscillatorOperators,
     build_symmetric_oscillator,
-    commutator,
     expected_truncated_spectrum,
-    ladder_commutator_defect,
     spectrum,
 )
 from .coherent import (
@@ -43,7 +39,6 @@ from .coherent import (
     coherent_via_recurrence,
     construct_resolution_measure,
     identity_residuals,
-    node_sum_profile,
     profile_normalization,
     quadrature_profile,
     resolution_residuals,
@@ -69,7 +64,6 @@ __all__ = [
     "RootSet",
     "as_chain",
     "eval_monic_tilde",
-    "eval_orthonormal",
     "gauss_quadrature",
     "index_double_factorials",
     "index_factorials",
@@ -80,20 +74,16 @@ __all__ = [
     "coefficients_from_moments",
     "gaussian_even_moments",
     "moment_round_trip",
-    "two_point_even_moments",
     "verify_canonical_orthogonality",
     "OscillatorOperators",
     "build_symmetric_oscillator",
-    "commutator",
     "expected_truncated_spectrum",
-    "ladder_commutator_defect",
     "spectrum",
     "coherent_closed_form",
     "coherent_via_exponential",
     "coherent_via_recurrence",
     "construct_resolution_measure",
     "identity_residuals",
-    "node_sum_profile",
     "profile_normalization",
     "quadrature_profile",
     "resolution_residuals",

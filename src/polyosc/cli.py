@@ -211,7 +211,6 @@ def cmd_coherent(args):
 
 
 def _krawtchouk_point(p, N, tol):
-    osc = kr.build_lattice_oscillator(p, N)
     d1, d2 = kr.dual_orthogonality_residuals(p, N)
     g1, g2 = kr.grid_orthogonality_residuals(p, N)
     res = {
@@ -219,7 +218,7 @@ def _krawtchouk_point(p, N, tol):
         "N": N,
         "spectrum_deviation": kr.lattice_spectrum_deviation(p, N),
         "grid_spectrum_deviation": kr.grid_spectrum_deviation(p, N),
-        "ladder_commutator": kr.ladder_commutator_residual(osc),
+        "ladder_commutator": kr.ladder_commutator_residual(p, N),
         "dual_orthogonality": worst_of(d1, d2),
         "grid_orthogonality": worst_of(g1, g2),
         "difference_equation": kr.difference_equation_residual(p, N),

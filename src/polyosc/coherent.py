@@ -26,8 +26,8 @@ is solved at the roots by psit_l / (2 b^2 factorials) whatever weights are
 chosen, but the starting row d[0, l] = delta_{l0} forces the weights to
 integrate psit_l exactly -- which pins them to the quadrature weights.  For
 the Hermite chain (b_n = sqrt((n+1)/2)) these collapse to the elegant
-closed expression const / psit_N(x_k)^2, and that special case is kept
-here (node_sum_profile, profile_normalization) as an independent anchor.
+closed expression const / psit_N(x_k)^2, and that special case's constant
+is kept here (profile_normalization) as an independent anchor.
 Every polynomial table here comes from polyrec.node_table.
 """
 
@@ -251,21 +251,6 @@ def route_agreement(states: dict) -> dict:
         "worst_overlap_deficit": worst_of([1.0 - ov for ov in overlaps.values()]),
         "worst_norm_deficit": worst_of([abs(n - 1.0) for n in norms.values()]),
     }
-
-
-def node_sum_profile(chain, l: int, r: float, dim: int | None = None) -> complex:
-    """Unweighted node profile sum_k psit_l(x_k) e^{i r x_k} / psit_N(x_k)^2.
-
-    This is the closed form specialized to chains (such as Hermite) whose
-    quadrature weights are proportional to 1/psit_N(x_k)^2; elsewhere it is
-    *not* the coherent-state profile and is kept only for those anchors.
-    """
-    b, N = _truncation(chain, dim)
-    work = RecurrenceCoefficients(b=b[:N])
-    x, _ = tilde_quadrature(work, N + 1)
-    pl = np.atleast_1d(eval_monic_tilde(work, l, x))
-    pN = np.atleast_1d(eval_monic_tilde(work, N, x))
-    return complex(np.sum(pl * np.exp(1j * r * x) / pN**2))
 
 
 def profile_normalization(chain, dim: int | None = None) -> float:

@@ -79,27 +79,12 @@ def build_symmetric_oscillator(chain, dim: int | None = None) -> OscillatorOpera
     return OscillatorOperators(chain.b[: chain.states(dim) - 1].copy())
 
 
-def commutator(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    return A @ B - B @ A
-
-
 def _padded_band(b: np.ndarray, n: int) -> np.ndarray:
     """(b_{-1}, b_0, .., b_{n-2}, b_{n-1}) with zeros at both ends: b_{-1} = 0
     and nothing past the cut."""
     padded = np.zeros(n + 1)
     padded[1:n] = b[: n - 1]
     return padded
-
-
-def ladder_commutator_defect(ops: OscillatorOperators) -> tuple[np.ndarray, np.ndarray]:
-    """[a_minus, a_plus] and its predicted form, for comparison.
-
-    Prediction: diagonal 2(b_n^2 - b_{n-1}^2) for n < dim-1 and
-    -2 b_{dim-2}^2 in the last slot (the truncation defect).
-    """
-    got = commutator(ops.lower, ops.raise_)
-    b2 = _padded_band(ops.b, ops.dim) ** 2
-    return got, np.diag(2.0 * (b2[1:] - b2[:-1])).astype(complex)
 
 
 def spectrum(ops):

@@ -13,47 +13,40 @@ and cross-mapped:
 
 The unitary map between the two sides (polynomial_to_grid_map) transports
 ladders onto ladders and diagonalizes the grid Hamiltonian.
+
+Every operator on either side is tridiagonal, and each is kept as its band
+(lo, d, up): lo[j] = M[j+1, j], d[j] = M[j, j], up[j] = M[j, j+1].  Every
+operator identity is checked through one shifted-row kernel,
+polyrec._band_apply, which forms M @ Y without BLAS in O(N^2) for an
+(N+1)-square Y: a commutator [A, B] is A applied to dense(B) minus B
+applied to dense(A), and a right product Y @ M applies the reversed
+(transposed) band to Y^T.  The only dense matrix products left are the two
+Gram checks of the tables (dual_orthogonality_residuals and
+grid_orthogonality_residuals).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .fockspace import OscillatorOperators, build_symmetric_oscillator, commutator, spectrum
-from . import polyrec
-from .polyrec import RecurrenceCoefficients, _eigh_tridiagonal, worst_of
+from .fockspace import build_symmetric_oscillator, spectrum
+from .polyrec import (
+    RecurrenceCoefficients,
+    _band_apply,
+    _band_dense,
+    _eigh_tridiagonal,
+    worst_of,
+)
 
 
 def _check_pn(p: float, N: int):
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie strictly between 0 and 1, got %r" % p)
-    if N < 1 or int(N) != N:
+    if isinstance(N, (bool, np.bool_)) or N < 1 or int(N) != N:
         raise ValueError("N must be a positive integer, got %r" % N)
-
-
-def krawtchouk_poly(n: int, x, p: float, N: int):
-    """Lattice polynomial K_n(x) as a terminating hypergeometric sum.
-
-    K_n(x) = sum_k [(-n)_k (-x)_k] / [k! (-N)_k p^k].  Self-dual in (n, x)
-    for integer arguments.  Kept as a slow, independent oracle; the chain
-    recurrence is the fast evaluation path.
-    """
-    _check_pn(p, N)
-    if not 0 <= n <= N:
-        raise ValueError("degree n must be in 0..N")
-    x_arr = np.asarray(x, dtype=polyrec._LD)
-    total = np.ones_like(x_arr)
-    term = np.ones_like(x_arr)
-    for k in range(n):
-        # ratio of consecutive terms: (k-n)(k-x) / ((k+1)(k-N) p)
-        term = term * (k - n) * (k - x_arr) / ((k + 1) * (k - N) * polyrec._LD(p))
-        total = total + term
-    out = np.asarray(total, dtype=float)
-    return out if out.ndim else float(out)
 
 
 @lru_cache(maxsize=64)
@@ -104,16 +97,6 @@ def _norm_factors(p: float, N: int) -> np.ndarray:
     factors = np.array([math.sqrt(math.comb(N, n) * m**n / r**n) for n in range(N + 1)])
     factors.setflags(write=False)
     return factors
-
-
-def ktilde(n: int, x, p: float, N: int):
-    """Orthonormalized lattice polynomial: sum_x rho(x) kt_m kt_n = delta_mn.
-
-    kt_0 is identically 1.  Uses the hypergeometric sum; see also
-    recurrence_chain, whose orthonormal family coincides with kt.
-    """
-    poly = np.asarray(krawtchouk_poly(n, x, p, N))
-    return _norm_factors(float(p), int(N))[n] * poly
 
 
 def recurrence_chain(p: float, N: int) -> RecurrenceCoefficients:
@@ -250,93 +233,54 @@ def difference_equation_residual(p: float, N: int) -> float:
 # polynomial-side oscillator
 
 
-@dataclass
-class LatticeOscillator:
-    """Scaled oscillator of the symmetric lattice chain.
+def _commutator(A, B) -> np.ndarray:
+    """[A, B] of two bands, as a dense matrix: A applied to dense(B) minus
+    B applied to dense(A)."""
+    return _band_apply(A, _band_dense(B)) - _band_apply(B, _band_dense(A))
 
-    hamiltonian has the exactly known spectrum N(n + 1/2) - n^2; the scaled
-    ladders obey [lower, raise] = N - 2 * number.  Like the bare operators
-    in ops, the scaled ones are built on request.
+
+def _times_band(Y: np.ndarray, band) -> np.ndarray:
+    """Y @ M for the band of M: the reversed band (M^T) applied to Y^T."""
+    return _band_apply(band[::-1], Y.T).T
+
+
+def _lattice_ladders(p: float, N: int):
+    """Bands of the scaled lattice ladders (lower, raise_ = lower^T).
+
+    The symmetric chain's ladders sqrt(2) b_n times sqrt(2) over the
+    lattice unit 2 sqrt(p(1-p)), so that [lower, raise_] = N - 2 number:
+    lower[n, n+1] = b_n / sqrt(p(1-p)) = sqrt((n+1)(N-n)).
     """
-
-    p: float
-    N: int
-    ops: OscillatorOperators
-
-    @property
-    def dim(self) -> int:
-        return self.N + 1
-
-    @property
-    def _unit(self) -> float:
-        return 2.0 * np.sqrt(self.p * (1.0 - self.p))
-
-    @property
-    def hamiltonian(self) -> np.ndarray:
-        return self.ops.hamiltonian / self._unit**2
-
-    @property
-    def lower(self) -> np.ndarray:
-        return np.sqrt(2.0) * self.ops.lower / self._unit
-
-    @property
-    def raise_(self) -> np.ndarray:
-        return np.sqrt(2.0) * self.ops.raise_ / self._unit
-
-    def expected_spectrum(self) -> np.ndarray:
-        n = np.arange(self.N + 1, dtype=float)
-        return self.N * (n + 0.5) - n**2
+    ell = symmetric_chain(p, N).b[:N] / np.sqrt(p * (1.0 - p))
+    lower = (np.zeros(N), np.zeros(N + 1), ell)
+    return lower, lower[::-1]
 
 
-def build_lattice_oscillator(p: float, N: int) -> LatticeOscillator:
-    """Operators of the symmetric chain, rescaled by the lattice unit.
-
-    The bare chain operators are divided by 2 sqrt(p(1-p)) (ladders) and
-    4 p (1-p) (Hamiltonian) so the spectrum and commutators come out in
-    integer units of the lattice.
-    """
-    return LatticeOscillator(p=p, N=N, ops=build_symmetric_oscillator(symmetric_chain(p, N)))
+def _lattice_hamiltonian(p: float, N: int):
+    """Band of the scaled lattice Hamiltonian (lower raise_ + raise_ lower) / 2,
+    the ladder form of (X^2 + P^2) / (4 p (1-p)), with spectrum
+    N(n + 1/2) - n^2.  A super- times a subdiagonal band is diagonal."""
+    lower, raise_ = _lattice_ladders(p, N)
+    both = _band_apply(lower, _band_dense(raise_)) + _band_apply(raise_, _band_dense(lower))
+    zero = np.zeros(N)
+    return zero, 0.5 * np.diagonal(both), zero
 
 
 def lattice_spectrum_deviation(p: float, N: int) -> float:
-    """Max |level - (N(n + 1/2) - n^2)|, both sorted.  The lattice H is
-    diagonal: fockspace.spectrum reads its diagonal (dense eigvalsh's values)
-    and raises ArithmeticError on a nonzero off-diagonal."""
-    osc = build_lattice_oscillator(p, N)
-    levels = np.sort(spectrum(osc)[0])
-    return worst_of(np.abs(levels - np.sort(osc.expected_spectrum())))
+    """Max |level - (N(n + 1/2) - n^2)|, both sorted.  The levels are
+    fockspace.spectrum of the symmetric chain's oscillator (the diagonal of
+    its X^2 + P^2, which raises ArithmeticError on a nonzero off-diagonal),
+    divided once by the squared lattice unit 4 p (1-p)."""
+    levels = spectrum(build_symmetric_oscillator(symmetric_chain(p, N)))[0] / (4.0 * p * (1.0 - p))
+    n = np.arange(N + 1, dtype=float)
+    return worst_of(np.abs(np.sort(levels) - np.sort(N * (n + 0.5) - n**2)))
 
 
-def ladder_commutator_residual(osc: LatticeOscillator) -> float:
+def ladder_commutator_residual(p: float, N: int) -> float:
     """|| [lower, raise] - (N - 2 number) ||_max for the scaled ladders."""
-    want = np.diag(osc.N - 2.0 * np.arange(osc.dim, dtype=float)).astype(complex)
-    got = commutator(osc.lower, osc.raise_)
-    return worst_of(np.abs(got - want))
-
-
-def polynomial_ladders(p: float, N: int):
-    """Scaled ladder triple (K_plus, K_minus, K_zero) in the kt basis.
-
-    These are the lattice-oscillator ladders conjugated by diag((-1)^n),
-    i.e. written in the basis of the un-flipped kt_n, where their matrix
-    elements are negative:  K_plus[n+1, n] = -sqrt((n+1)(N-n)).
-    K_zero = [K_plus, K_minus] / 2 = number - N/2.
-    """
-    osc = build_lattice_oscillator(p, N)
-    signs = (-1.0) ** np.arange(N + 1)
-    flip = np.outer(signs, signs)
-    k_plus = flip * osc.raise_
-    k_minus = flip * osc.lower
-    k_zero = 0.5 * commutator(k_plus, k_minus)
-    return k_plus, k_minus, k_zero
-
-
-def so3_residuals(k_plus, k_minus, k_zero) -> float:
-    """Max residual of [K0, K+-] = +-K+- and [K+, K-] = 2 K0."""
-    r1 = commutator(k_zero, k_plus) - k_plus
-    r2 = commutator(k_zero, k_minus) + k_minus
-    r3 = commutator(k_plus, k_minus) - 2.0 * k_zero
-    return worst_of(*(np.abs(r) for r in (r1, r2, r3)))
+    lower, raise_ = _lattice_ladders(p, N)
+    want = np.diag(N - 2.0 * np.arange(N + 1, dtype=float))
+    return worst_of(np.abs(_commutator(lower, raise_) - want))
 
 
 # ---------------------------------------------------------------------------
@@ -375,35 +319,30 @@ def _alpha(j, N: int):
     return np.sqrt((np.asarray(j, dtype=float) + 1.0) * (N - np.asarray(j, dtype=float)))
 
 
-def _grid_bands(p: float, N: int):
-    """Diagonal and off-diagonal of the grid Hamiltonian (see grid_hamiltonian)."""
-    _check_pn(p, N)
-    j = np.arange(N + 1, dtype=float)
-    diag = 2.0 * p * (1.0 - p) * N + 0.5 + (1.0 - 2.0 * p) * (j - p * N)
-    off = -np.sqrt(p * (1.0 - p)) * _alpha(j[:-1], N)
-    return diag, off
+def _grid_hamiltonian(p: float, N: int):
+    """Band of the difference-operator Hamiltonian on the physical grid.
 
-
-def grid_hamiltonian(p: float, N: int) -> np.ndarray:
-    """Difference-operator Hamiltonian on the physical grid.
-
-    diag_j = 2p(1-p)N + 1/2 + (1-2p)(j - pN), off-diagonal
+    d_j = 2p(1-p)N + 1/2 + (1-2p)(j - pN), and both off-diagonals
     [j, j+1] = [j+1, j] = -sqrt(p(1-p)) alpha_j with
     alpha_j = sqrt((j+1)(N-j)).  Spectrum: n + 1/2, n = 0..N.
     """
-    diag, off = _grid_bands(p, N)
-    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    _check_pn(p, N)
+    j = np.arange(N + 1, dtype=float)
+    d = 2.0 * p * (1.0 - p) * N + 0.5 + (1.0 - 2.0 * p) * (j - p * N)
+    off = -np.sqrt(p * (1.0 - p)) * _alpha(j[:-1], N)
+    return off, d, off
 
 
 def grid_spectrum_deviation(p: float, N: int) -> float:
     """Max |level - (n + 1/2)| over the grid H, whose levels come from
-    the dense eigvalsh of its two bands."""
-    levels = _eigh_tridiagonal(*_grid_bands(p, N), eigvals_only=True)
+    the dense eigvalsh of its band."""
+    off, d, _ = _grid_hamiltonian(p, N)
+    levels = _eigh_tridiagonal(d, off, eigvals_only=True)
     return worst_of(np.abs(levels - (np.arange(N + 1) + 0.5)))
 
 
 def grid_ladders(p: float, N: int):
-    """Grid-side raising and lowering pair (A_plus, A_minus = A_plus^T).
+    """Bands of the grid-side raising and lowering pair (A_plus, A_minus = A_plus^T).
 
     A_plus[j, j-1] = (1-p) alpha_{j-1}, A_plus[j, j+1] = -p alpha_j,
     diagonal sqrt(p(1-p)) (2j - N).  Acting on the Psi rows:
@@ -411,19 +350,16 @@ def grid_ladders(p: float, N: int):
     """
     _check_pn(p, N)
     j = np.arange(N + 1, dtype=float)
-    diag = np.sqrt(p * (1.0 - p)) * (2.0 * j - N)
-    sup = -p * _alpha(j[:-1], N)  # entry [j, j+1]
-    sub = (1.0 - p) * _alpha(j[:-1], N)  # entry [j+1, j]
-    a_plus = np.diag(diag) + np.diag(sup, 1) + np.diag(sub, -1)
-    return a_plus, a_plus.T
+    alpha = _alpha(j[:-1], N)
+    a_plus = ((1.0 - p) * alpha, np.sqrt(p * (1.0 - p)) * (2.0 * j - N), -p * alpha)
+    return a_plus, a_plus[::-1]
 
 
 def grid_factorization_residual(p: float, N: int) -> float:
     """|| H_grid - ( [A+, A-]/2 + (N+1)/2 ) ||_max."""
-    H = grid_hamiltonian(p, N)
     a_plus, a_minus = grid_ladders(p, N)
-    want = 0.5 * commutator(a_plus, a_minus) + 0.5 * (N + 1) * np.eye(N + 1)
-    return worst_of(np.abs(H - want))
+    want = 0.5 * _commutator(a_plus, a_minus) + 0.5 * (N + 1) * np.eye(N + 1)
+    return worst_of(np.abs(_band_dense(_grid_hamiltonian(p, N)) - want))
 
 
 def grid_ladder_action_residual(p: float, N: int) -> float:
@@ -434,9 +370,10 @@ def grid_ladder_action_residual(p: float, N: int) -> float:
     padded = np.pad(psi, ((1, 1), (0, 0)))  # zero rows at levels -1 and N+1
     want_up = np.sqrt((n + 1.0) * (N - n))[:, None] * padded[2:]
     want_dn = np.sqrt(n * (N - n + 1.0))[:, None] * padded[:-2]
-    # column k of a @ psi.T is a applied to Psi_k
+    # column k of M @ psi.T is M applied to Psi_k
     return worst_of(
-        np.abs(np.concatenate((a_plus @ psi.T - want_up.T, a_minus @ psi.T - want_dn.T)))
+        np.abs(_band_apply(a_plus, psi.T) - want_up.T),
+        np.abs(_band_apply(a_minus, psi.T) - want_dn.T),
     )
 
 
@@ -454,22 +391,33 @@ def polynomial_to_grid_map(p: float, N: int) -> np.ndarray:
         T K_pm T^{-1} = A_pm,   T K_0 T^{-1} = H_grid - (N+1)/2,
         T^{-1} H_grid T = diag(n + 1/2).
 
-    T comes in C order: the BLAS products built on it then sum in a fixed
-    order (an F-order T moves hamiltonian_relation_residual by an ulp).
+    T comes in C order, so a BLAS product built on it (criterion 8's T'T)
+    sums in one fixed order.
     """
     return np.ascontiguousarray(grid_functions(p, N).T) * (-1.0) ** np.arange(N + 1)
 
 
 def transport_residual(p: float, N: int) -> float:
-    """Max defect of the three ladder-transport identities under T."""
+    """Max defect of the three ladder-transport identities, as T K - A T.
+
+    K_plus and K_minus are the scaled lattice ladders conjugated by
+    diag((-1)^n), i.e. written in the basis of the un-flipped kt_n: the
+    conjugation flips the sign of every off-diagonal entry, so
+    K_plus[n+1, n] = -sqrt((n+1)(N-n)).  K_zero = [K_plus, K_minus] / 2 =
+    number - N/2 is diagonal; its grid mate is H_grid - (N+1)/2.
+    T K = A T says T K T^{-1} = A only because T is orthogonal, which
+    criterion 8 checks on its own.
+    """
     T = polynomial_to_grid_map(p, N)
-    k_plus, k_minus, k_zero = polynomial_ladders(p, N)
+    lower, raise_ = _lattice_ladders(p, N)
+    k_plus, k_minus = ((-lo, d, -up) for lo, d, up in (raise_, lower))
+    zero = np.zeros(N)
+    k_zero = (zero, 0.5 * np.diagonal(_commutator(k_plus, k_minus)), zero)
     a_plus, a_minus = grid_ladders(p, N)
-    H = grid_hamiltonian(p, N)
-    a_zero = H - 0.5 * (N + 1) * np.eye(N + 1)
-    Ti = T.T  # orthogonal
+    lo, d, up = _grid_hamiltonian(p, N)
+    a_zero = (lo, d - 0.5 * (N + 1), up)
     pairs = ((k_plus, a_plus), (k_minus, a_minus), (k_zero, a_zero))
-    return worst_of(*(np.abs(T @ km @ Ti - am) for km, am in pairs))
+    return worst_of(*(np.abs(_times_band(T, k) - _band_apply(a, T)) for k, a in pairs))
 
 
 def hamiltonian_relation_residual(p: float, N: int) -> float:
@@ -478,81 +426,71 @@ def hamiltonian_relation_residual(p: float, N: int) -> float:
     With Hg = T^{-1} H_grid T transported to the polynomial side and Hk the
     lattice-oscillator Hamiltonian (spectrum N(n+1/2) - n^2):
 
-        Hk = -(Hg - 1/2)^2 + N Hg.
+        Hk = -(Hg - 1/2)^2 + N Hg,
 
-    The scalar shadow: N(n+1/2) - n^2 = -(n+1/2-1/2)^2 + N(n+1/2).
+    checked on the grid side as T Hk - (N H_grid - (H_grid - 1/2)^2) T.  Hk
+    is diagonal, so the diag((-1)^n) between the two polynomial bases leaves
+    it as it is.  The scalar shadow: N(n+1/2) - n^2 = -(n+1/2-1/2)^2 + N(n+1/2).
     """
     T = polynomial_to_grid_map(p, N)
-    Hg = T.T @ grid_hamiltonian(p, N) @ T
-    osc = build_lattice_oscillator(p, N)
-    # the lattice Hamiltonian is diagonal in the (-1)^n kt_n basis;
-    # conjugation by diag((-1)^n) is a no-op on it, so it can be compared directly
-    Hk = osc.hamiltonian.real
-    shift = Hg - 0.5 * np.eye(N + 1)
-    return worst_of(np.abs(Hk + shift @ shift - N * Hg))
+    h_grid = _grid_hamiltonian(p, N)
+    lo, d, up = h_grid
+    shift = (lo, d - 0.5, up)
+    want = N * _band_apply(h_grid, T) - _band_apply(shift, _band_apply(shift, T))
+    return worst_of(np.abs(_times_band(T, _lattice_hamiltonian(p, N)) - want))
 
 
 # ---------------------------------------------------------------------------
 # explicit difference forms on the integer lattice
 
 
-def difference_lowering_matrix(p: float, N: int) -> np.ndarray:
-    """The lowering ladder as a difference operator in the lattice variable.
+def _difference_forms(p: float, N: int):
+    """Bands of the ladders as difference operators in the lattice variable.
 
-    sqrt(p(1-p)) [ (N-x) E+ - x E- + (2x - N) ], with E+- the unit shifts.
-    Equals S^{-1} A_minus S, S = diag(sqrt(rho)); acting on the functions
-    x -> kt_n(x) it lowers with coefficient -sqrt(n(N-n+1)).
-    """
-    _check_pn(p, N)
-    x = np.arange(N + 1, dtype=float)
-    s = np.sqrt(p * (1.0 - p))
-    return s * (
-        np.diag((N - x)[:-1], 1) - np.diag(x[1:], -1) + np.diag(2.0 * x - N)
-    )
-
-
-def difference_raising_matrix(p: float, N: int) -> np.ndarray:
-    """Raising mate of difference_lowering_matrix (= S^{-1} A_plus S).
-
-    sqrt(p(1-p)) [ ((1-p)/p) x E- - (p/(1-p)) (N-x) E+ + (2x - N) ].
+    Lowering: sqrt(p(1-p)) [ (N-x) E+ - x E- + (2x - N) ]; raising:
+    sqrt(p(1-p)) [ ((1-p)/p) x E- - (p/(1-p)) (N-x) E+ + (2x - N) ], with
+    E+- the unit shifts.  They equal S^{-1} A_minus S and S^{-1} A_plus S,
+    S = diag(sqrt(rho)); acting on the functions x -> kt_n(x) the lowering
+    form lowers with coefficient -sqrt(n(N-n+1)).
     """
     _check_pn(p, N)
     x = np.arange(N + 1, dtype=float)
     q = 1.0 - p
     s = np.sqrt(p * q)
-    return s * (
-        (q / p) * np.diag(x[1:], -1)
-        - (p / q) * np.diag((N - x)[:-1], 1)
-        + np.diag(2.0 * x - N)
-    )
+    mid = s * (2.0 * x - N)
+    lowering = (s * -x[1:], mid, s * (N - x)[:-1])
+    raising = (s * ((q / p) * x[1:]), mid, s * -((p / q) * (N - x)[:-1]))
+    return lowering, raising
 
 
 def difference_form_residual(p: float, N: int) -> float:
     """Cross-check of the explicit difference forms.
 
-    Verifies (i) they equal the sqrt(rho)-conjugated grid ladders and
-    (ii) their action on the kt_n lattice functions is the signed ladder
-    action of the kt basis.
+    Verifies (i) they equal the sqrt(rho)-conjugated grid ladders, band by
+    band, and (ii) their action on the kt_n lattice functions is the signed
+    ladder action of the kt basis.
     """
     x = np.arange(N + 1, dtype=float)
     s = np.sqrt(weight_rho(x, p, N))
+    lowering, raising = _difference_forms(p, N)
     a_plus, a_minus = grid_ladders(p, N)
-    d_minus = difference_lowering_matrix(p, N)
-    d_plus = difference_raising_matrix(p, N)
-    defects = [
-        np.abs(d_minus - (a_minus * s[None, :]) / s[:, None]),
-        np.abs(d_plus - (a_plus * s[None, :]) / s[:, None]),
-    ]
+    defects = []
+    for form, (lo, d, up) in ((lowering, a_minus), (raising, a_plus)):
+        # S^{-1} A S multiplies entry [i, j] by s_j / s_i
+        conjugated = (lo * s[:-1] / s[1:], d, up * s[1:] / s[:-1])
+        defects += [np.abs(f - c) for f, c in zip(form, conjugated)]
     kt_table = ktilde_table(p, N)  # rows: degree n
     padded = np.pad(kt_table, ((1, 1), (0, 0)))  # zero rows at degrees -1 and N+1
     n = np.arange(N + 1, dtype=float)
-    dn = -np.sqrt(n * (N - n + 1.0))
-    up = -np.sqrt((n + 1.0) * (N - n))
+    coef_dn = -np.sqrt(n * (N - n + 1.0))
+    coef_up = -np.sqrt((n + 1.0) * (N - n))
     # table entries reach ~1e11 at (p, N) = (0.8, 30), so the ladder-action
     # defect is measured relative to the largest summand feeding each entry;
-    # row k of kt_table @ mat.T is mat applied to kt_k
-    for mat, coef, shift in ((d_minus, dn, -1), (d_plus, up, +1)):
+    # row k of (M @ kt_table.T).T is M applied to kt_k
+    for form, coef, shift in ((lowering, coef_dn, -1), (raising, coef_up, +1)):
         want = coef[:, None] * padded[1 + shift : N + 2 + shift]
-        scale = np.maximum(1.0, np.maximum(np.abs(kt_table) @ np.abs(mat).T, np.abs(want)))
-        defects.append(np.abs(kt_table @ mat.T - want) / scale)
+        got = _band_apply(form, kt_table.T).T
+        size = _band_apply(tuple(np.abs(b) for b in form), np.abs(kt_table).T).T
+        scale = np.maximum(1.0, np.maximum(size, np.abs(want)))
+        defects.append(np.abs(got - want) / scale)
     return worst_of(*defects)

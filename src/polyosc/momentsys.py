@@ -183,11 +183,3 @@ def gaussian_even_moments(count: int) -> MomentSequence:
         ev.append(ev[-1] * (2 * k - 1))
     return MomentSequence(ev)
 
-
-def two_point_even_moments(count: int) -> MomentSequence:
-    """Even moments of (delta_{-1} + delta_{+1})/2: mu_{2k} = 1.
-
-    The canonical finite-support example: exactly one coefficient (b_0 = 1)
-    is recoverable before the Hankel pivots collapse.
-    """
-    return MomentSequence(np.ones(count))

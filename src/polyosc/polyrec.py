@@ -23,8 +23,12 @@ core, and a cached rule pays it once.
 
 A Gauss rule depends only on its Jacobi window, never on the point where it
 is used, so the Newton-polished rule is memoized per process on the exact
-float64 bytes of that window (diagonal and off-diagonal); callers of
-gauss_quadrature get copies, so the cached arrays are never shared.
+float64 bytes of that window (diagonal and off-diagonal) and on the
+extended dtype _LD; callers of gauss_quadrature get copies, so the cached
+arrays are never shared.
+
+A tridiagonal operator is kept as its band (lo, d, up), the sub-, main and
+superdiagonal; _band_apply multiplies it into a matrix as shifted rows.
 """
 
 from __future__ import annotations
@@ -215,25 +219,34 @@ def node_table(chain, nmax: int, x, normalization: str) -> np.ndarray:
     return table
 
 
-def _last_row(table):
-    out = np.asarray(table[-1], dtype=float)
+def eval_monic_tilde(chain, n: int, x):
+    """psit_n at x: the last row of node_table(chain, n, x, "monic_tilde")."""
+    out = np.asarray(node_table(chain, n, x, "monic_tilde")[-1], dtype=float)
     return out if out.ndim else float(out)
 
 
-def eval_orthonormal(chain, n: int, x):
-    """psi_n at x: the last row of node_table(chain, n, x, "orthonormal")."""
-    return _last_row(node_table(chain, n, x, "orthonormal"))
+def _band_dense(band):
+    """The dense matrix M of a tridiagonal band (lo, d, up): lo[j] = M[j+1, j],
+    d[j] = M[j, j] and up[j] = M[j, j+1]."""
+    lo, d, up = band
+    return np.diag(d) + np.diag(up, 1) + np.diag(lo, -1)
 
 
-def eval_monic_tilde(chain, n: int, x):
-    """psit_n at x: the last row of node_table(chain, n, x, "monic_tilde")."""
-    return _last_row(node_table(chain, n, x, "monic_tilde"))
+def _band_apply(band, Y):
+    """M @ Y for the tridiagonal band (lo, d, up) and a 2-D Y, as three
+    shifted rows: no BLAS, and each entry sums its terms in one fixed order.
+    The transpose of M is the reversed band, band[::-1]."""
+    lo, d, up = band
+    out = d[:, None] * Y
+    out[:-1] += up[:, None] * Y[1:]
+    out[1:] += lo[:, None] * Y[:-1]
+    return out
 
 
 def _eigh_tridiagonal(diag, off, eigvals_only=False):
     """Eigenvalues (ascending), and unit eigenvectors as columns unless
     eigvals_only, of the symmetric tridiagonal matrix with the given bands."""
-    mat = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    mat = _band_dense((off, diag, off))
     return np.linalg.eigvalsh(mat) if eigvals_only else np.linalg.eigh(mat)
 
 
@@ -275,11 +288,9 @@ def roots(chain, degree: int) -> RootSet:
             % (degree, degree - 2, chain.depth)
         )
     off = chain.b[: degree - 1]
-    y, v = _eigh_tridiagonal(np.zeros(degree), off)  # ascending eigenvalues
-    Jv = np.zeros_like(v)
-    Jv[:-1] = off[:, None] * v[1:]
-    Jv[1:] += off[:, None] * v[:-1]
-    res = np.linalg.norm(Jv - v * y, axis=0)
+    diag = np.zeros(degree)
+    y, v = _eigh_tridiagonal(diag, off)  # ascending eigenvalues
+    res = np.linalg.norm(_band_apply((off, diag, off), v) - v * y, axis=0)
     scale = float(np.max(np.abs(y))) or 1.0
     if not np.all(res <= _ROOT_RESIDUAL_TOL * scale):
         raise ArithmeticError(
@@ -324,11 +335,13 @@ def _refined_gauss_rule(diag, off, vals):
 
 
 @lru_cache(maxsize=64)
-def _polished_rule(diag_bytes: bytes, off_bytes: bytes):
+def _polished_rule(diag_bytes: bytes, off_bytes: bytes, dtype):
     """Golub-Welsch nodes of one Jacobi window, Newton-polished; read-only.
 
     The key is the exact float64 bytes of the window, so two chains sharing
     the leading entries share the rule and a changed entry is a new key.
+    dtype is the _LD the rule is polished in: it enters only the key, so a
+    rule polished in one extended dtype is never served in another.
     """
     diag = np.frombuffer(diag_bytes)
     off = np.frombuffer(off_bytes)
@@ -364,7 +377,7 @@ def gauss_quadrature(chain, npoints: int):
         diag[: min(npoints, len(chain.a))] = chain.a[:npoints]
     off = chain.b[: npoints - 1]
     if np.all(off > 0):
-        y, w = _polished_rule(diag.tobytes(), off.tobytes())
+        y, w = _polished_rule(diag.tobytes(), off.tobytes(), _LD)
         return y.copy(), w.copy()
     vals, vecs = _eigh_tridiagonal(diag, off)
     return vals, vecs[0] ** 2

@@ -16,6 +16,14 @@ def rng():
     return np.random.default_rng(42)
 
 
+def eval_orthonormal(chain, n: int, x):
+    """psi_n at x: the last row of node_table(chain, n, x, "orthonormal")."""
+    from polyosc.polyrec import node_table
+
+    out = np.asarray(node_table(chain, n, x, "orthonormal")[-1], dtype=float)
+    return out if out.ndim else float(out)
+
+
 def random_truncated_chain(rng, max_levels=8, lo=0.3, hi=2.0):
     """A chain b_0..b_{N-1} > 0 with b_N = 0: an (N+1)-level oscillator."""
     from polyosc import RecurrenceCoefficients

@@ -10,6 +10,8 @@ import pytest
 import polyosc
 from polyosc import krawtchouk as kr
 from polyosc.cli import _krawtchouk_point, _parse_sweep, main
+from polyosc.fockspace import OscillatorOperators, build_symmetric_oscillator
+from polyosc.polyrec import _band_dense
 
 
 def run(capsys, argv):
@@ -109,12 +111,15 @@ class TestKrawtchoukSpectra:
     @pytest.mark.parametrize("p", (0.1, 0.4123457, 0.9))
     @pytest.mark.parametrize("N", (1, 2, 5, 24, 96))
     def test_banded_spectra_equal_dense_eigvalsh(self, p, N):
+        # dense eigvalsh of the chain's X^2 + P^2, scaled once by 4 p (1-p),
+        # and of the grid H's dense view
         row = _krawtchouk_point(p, N, 1e-8)
-        osc = kr.build_lattice_oscillator(p, N)
-        lattice = np.linalg.eigvalsh(osc.hamiltonian)
-        grid = np.linalg.eigvalsh(kr.grid_hamiltonian(p, N))
+        ops = build_symmetric_oscillator(kr.symmetric_chain(p, N))
+        lattice = np.linalg.eigvalsh(ops.hamiltonian) / (4.0 * p * (1.0 - p))
+        grid = np.linalg.eigvalsh(_band_dense(kr._grid_hamiltonian(p, N)))
+        n = np.arange(N + 1.0)
         assert row["spectrum_deviation"] == float(
-            np.max(np.abs(lattice - np.sort(osc.expected_spectrum())))
+            np.max(np.abs(lattice - np.sort(N * (n + 0.5) - n**2)))
         )
         assert row["grid_spectrum_deviation"] == float(
             np.max(np.abs(grid - (np.arange(N + 1) + 0.5)))
@@ -130,12 +135,14 @@ class TestKrawtchoukSpectra:
         assert json.loads(out)["hamiltonian_relation"] < 1e-9
 
     def test_off_diagonal_lattice_hamiltonian_fails(self, capsys, monkeypatch):
+        real = OscillatorOperators.hamiltonian.fget
+
         def broken(self):
-            H = self.ops.hamiltonian / self._unit**2
+            H = real(self)
             H[0, 1] = H[1, 0] = 1e-3
             return H
 
-        monkeypatch.setattr(kr.LatticeOscillator, "hamiltonian", property(broken))
+        monkeypatch.setattr(OscillatorOperators, "hamiltonian", property(broken))
         rc, out, err = run(capsys, ["krawtchouk", "--p", "0.4", "--N", "6"])
         assert rc == 1
         assert out == ""

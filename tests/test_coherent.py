@@ -15,7 +15,6 @@ from polyosc import (
     construct_resolution_measure,
     identity_residuals,
     krawtchouk,
-    node_sum_profile,
     profile_normalization,
     quadrature_profile,
     resolution_residuals,
@@ -23,7 +22,23 @@ from polyosc import (
     transfer_closed_form,
     transfer_coefficients,
 )
+from polyosc.polyrec import eval_monic_tilde, tilde_quadrature
 from conftest import random_truncated_chain
+
+
+def node_sum_profile(chain, l: int, r: float, dim: int | None = None) -> complex:
+    """Unweighted node profile sum_k psit_l(x_k) e^{i r x_k} / psit_N(x_k)^2.
+
+    The closed form specialized to chains (such as Hermite) whose quadrature
+    weights are proportional to 1/psit_N(x_k)^2; elsewhere it is *not* the
+    coherent-state profile (test oracle).
+    """
+    b, N = coherent._truncation(chain, dim)
+    work = RecurrenceCoefficients(b=b[:N])
+    x, _ = tilde_quadrature(work, N + 1)
+    pl = np.atleast_1d(eval_monic_tilde(work, l, x))
+    pN = np.atleast_1d(eval_monic_tilde(work, N, x))
+    return complex(np.sum(pl * np.exp(1j * r * x) / pN**2))
 
 
 def gamma_coefficients(chain, nmax: int, mmax: int, dim: int | None = None) -> np.ndarray:

@@ -14,9 +14,7 @@ from polyosc import (
     RecurrenceCoefficients,
     boson_chain,
     build_symmetric_oscillator,
-    commutator,
     expected_truncated_spectrum,
-    ladder_commutator_defect,
     spectrum,
 )
 import polyosc
@@ -43,15 +41,20 @@ def dense_oscillator(chain, dim):
     return dict(position=X, momentum=P, hamiltonian=H, lower=lower, raise_=raise_)
 
 
-def dense_lattice_oscillator(p, N):
-    """The lattice operators rescaled from the dense oracle (test oracle)."""
-    ops = dense_oscillator(kr.symmetric_chain(p, N), N + 1)
-    s = 2.0 * np.sqrt(p * (1.0 - p))
-    return dict(
-        hamiltonian=ops["hamiltonian"] / s**2,
-        lower=np.sqrt(2.0) * ops["lower"] / s,
-        raise_=np.sqrt(2.0) * ops["raise_"] / s,
-    )
+def commutator(A, B):
+    return A @ B - B @ A
+
+
+def ladder_commutator_defect(ops):
+    """[a_minus, a_plus] and its predicted form, for comparison (test oracle).
+
+    Prediction: diagonal 2(b_n^2 - b_{n-1}^2) for n < dim-1 and
+    -2 b_{dim-2}^2 in the last slot (the truncation defect).
+    """
+    got = commutator(ops.lower, ops.raise_)
+    b2 = np.zeros(ops.dim + 1)
+    b2[1 : ops.dim] = ops.b**2
+    return got, np.diag(2.0 * (b2[1:] - b2[:-1])).astype(complex)
 
 
 def test_boson_hamiltonian_is_odd_integers():
@@ -125,10 +128,6 @@ class TestViewsMatchDenseOracle:
             want = dense_oscillator(kr.symmetric_chain(p, N), N + 1)
             for name in VIEWS:
                 assert np.array_equal(getattr(ops, name), want[name]), (N, name)
-            osc = kr.build_lattice_oscillator(p, N)
-            want = dense_lattice_oscillator(p, N)
-            for name in ("hamiltonian", "lower", "raise_"):
-                assert np.array_equal(getattr(osc, name), want[name]), (N, name)
 
 
 def test_nonzero_diagonal_rejected():

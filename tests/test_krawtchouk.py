@@ -4,11 +4,127 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from polyosc import RecurrenceCoefficients
+from polyosc import RecurrenceCoefficients, build_symmetric_oscillator
 from polyosc import krawtchouk as kr
-from polyosc.polyrec import eval_orthonormal, node_table
+from polyosc import polyrec
+from polyosc.polyrec import _band_apply, _band_dense, node_table
+from conftest import eval_orthonormal
 
 P_SAMPLES = (0.2, 0.5, 0.8)
+
+
+def krawtchouk_poly(n: int, x, p: float, N: int):
+    """Lattice polynomial K_n(x) as a terminating hypergeometric sum (test oracle).
+
+    K_n(x) = sum_k [(-n)_k (-x)_k] / [k! (-N)_k p^k].  Self-dual in (n, x)
+    for integer arguments; the package evaluates K_n by its recurrence.
+    """
+    x_arr = np.asarray(x, dtype=polyrec._LD)
+    total = np.ones_like(x_arr)
+    term = np.ones_like(x_arr)
+    for k in range(n):
+        # ratio of consecutive terms: (k-n)(k-x) / ((k+1)(k-N) p)
+        term = term * (k - n) * (k - x_arr) / ((k + 1) * (k - N) * polyrec._LD(p))
+        total = total + term
+    out = np.asarray(total, dtype=float)
+    return out if out.ndim else float(out)
+
+
+def ktilde(n: int, x, p: float, N: int):
+    """Orthonormalized lattice polynomial kt_n(x) by the hypergeometric sum (test oracle)."""
+    return kr._norm_factors(float(p), int(N))[n] * np.asarray(krawtchouk_poly(n, x, p, N))
+
+
+# ---------------------------------------------------------------------------
+# the dense operator builders and dense checks the band forms replaced (test
+# oracles for N <= 200)
+
+
+def commutator(A, B):
+    return A @ B - B @ A
+
+
+def worst(*arrays) -> float:
+    return max(float(np.max(np.abs(a))) for a in arrays)
+
+
+def dense_lattice_ladders(p, N):
+    """Scaled ladders (lower, raise_): the chain's dense ladders times
+    sqrt(2) / (2 sqrt(p(1-p)))."""
+    ops = build_symmetric_oscillator(kr.symmetric_chain(p, N))
+    unit = 2.0 * np.sqrt(p * (1.0 - p))
+    return (np.sqrt(2.0) * ops.lower / unit).real, (np.sqrt(2.0) * ops.raise_ / unit).real
+
+
+def grid_hamiltonian(p, N):
+    """The grid Hamiltonian as a dense matrix."""
+    j = np.arange(N + 1, dtype=float)
+    diag = 2.0 * p * (1.0 - p) * N + 0.5 + (1.0 - 2.0 * p) * (j - p * N)
+    off = -np.sqrt(p * (1.0 - p)) * np.sqrt((j[:-1] + 1.0) * (N - j[:-1]))
+    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+
+
+def grid_ladders(p, N):
+    """The grid ladders (A_plus, A_minus = A_plus^T) as dense matrices."""
+    j = np.arange(N + 1, dtype=float)
+    alpha = np.sqrt((j[:-1] + 1.0) * (N - j[:-1]))
+    diag = np.sqrt(p * (1.0 - p)) * (2.0 * j - N)
+    a_plus = np.diag(diag) + np.diag(-p * alpha, 1) + np.diag((1.0 - p) * alpha, -1)
+    return a_plus, a_plus.T
+
+
+def difference_lowering_matrix(p, N):
+    """sqrt(p(1-p)) [ (N-x) E+ - x E- + (2x - N) ] as a dense matrix."""
+    x = np.arange(N + 1, dtype=float)
+    s = np.sqrt(p * (1.0 - p))
+    return s * (np.diag((N - x)[:-1], 1) - np.diag(x[1:], -1) + np.diag(2.0 * x - N))
+
+
+def difference_raising_matrix(p, N):
+    """sqrt(p(1-p)) [ ((1-p)/p) x E- - (p/(1-p)) (N-x) E+ + (2x - N) ] as a dense matrix."""
+    x = np.arange(N + 1, dtype=float)
+    q = 1.0 - p
+    s = np.sqrt(p * q)
+    return s * (
+        (q / p) * np.diag(x[1:], -1) - (p / q) * np.diag((N - x)[:-1], 1) + np.diag(2.0 * x - N)
+    )
+
+
+def so3_residuals(k_plus, k_minus, k_zero) -> float:
+    """Max residual of [K0, K+-] = +-K+- and [K+, K-] = 2 K0."""
+    r1 = commutator(k_zero, k_plus) - k_plus
+    r2 = commutator(k_zero, k_minus) + k_minus
+    r3 = commutator(k_plus, k_minus) - 2.0 * k_zero
+    return worst(r1, r2, r3)
+
+
+def dense_operator_residuals(p, N):
+    """The five operator checks as dense products, on the dense views of
+    whatever the band builders return (so a patched builder reaches both)."""
+    lower, raise_ = (_band_dense(b) for b in kr._lattice_ladders(p, N))
+    a_plus, a_minus = (_band_dense(b) for b in kr.grid_ladders(p, N))
+    H = _band_dense(kr._grid_hamiltonian(p, N))
+    T = kr.polynomial_to_grid_map(p, N)
+    psi = kr.grid_functions(p, N)
+    eye = np.eye(N + 1)
+    n = np.arange(N + 1, dtype=float)
+    D = np.diag((-1.0) ** n)
+    k_plus, k_minus = D @ raise_ @ D, D @ lower @ D
+    k_zero = 0.5 * commutator(k_plus, k_minus)
+    Hk = 0.5 * (lower @ raise_ + raise_ @ lower)
+    Hg = T.T @ H @ T
+    shift = Hg - 0.5 * eye
+    padded = np.pad(psi, ((1, 1), (0, 0)))
+    want_up = np.sqrt((n + 1.0) * (N - n))[:, None] * padded[2:]
+    want_dn = np.sqrt(n * (N - n + 1.0))[:, None] * padded[:-2]
+    pairs = ((k_plus, a_plus), (k_minus, a_minus), (k_zero, H - 0.5 * (N + 1) * eye))
+    return {
+        "ladder_commutator": worst(commutator(lower, raise_) - np.diag(N - 2.0 * n)),
+        "grid_factorization": worst(H - 0.5 * commutator(a_plus, a_minus) - 0.5 * (N + 1) * eye),
+        "grid_ladder_action": worst(a_plus @ psi.T - want_up.T, a_minus @ psi.T - want_dn.T),
+        "transport": worst(*(T @ k @ T.T - a for k, a in pairs)),
+        "hamiltonian_relation": worst(Hk + shift @ shift - N * Hg),
+    }
 
 
 def fraction_table(p: float, N: int) -> np.ndarray:
@@ -82,7 +198,7 @@ class TestPolynomialTable:
     def test_hand_value_at_origin(self):
         # kt_1(x) = (pN - x)/sqrt(p(1-p)N); at p = 1/2, N = 2 the value at
         # x = 0 is sqrt(2).
-        assert kr.ktilde(1, 0, 0.5, 2) == pytest.approx(np.sqrt(2.0))
+        assert ktilde(1, 0, 0.5, 2) == pytest.approx(np.sqrt(2.0))
         tab = kr.ktilde_table(0.5, 2)
         assert tab[1, 0] == pytest.approx(np.sqrt(2.0))
 
@@ -91,7 +207,7 @@ class TestPolynomialTable:
             for N in (1, 4, 7):
                 tab = kr.ktilde_table(p, N)
                 ref = np.array(
-                    [[kr.ktilde(n, x, p, N) for x in range(N + 1)]
+                    [[ktilde(n, x, p, N) for x in range(N + 1)]
                      for n in range(N + 1)]
                 )
                 den = np.maximum(1.0, np.abs(ref))
@@ -113,7 +229,7 @@ class TestPolynomialTable:
         # every orthonormal row of the chain at once, against kt_n(x)
         xs = np.arange(N + 1, dtype=float)
         rows = np.asarray(node_table(kr.recurrence_chain(p, N), N, xs, "orthonormal"), dtype=float)
-        ref = np.array([kr.ktilde(n, xs, p, N) for n in range(N + 1)])
+        ref = np.array([ktilde(n, xs, p, N) for n in range(N + 1)])
         den = np.maximum(1.0, np.abs(ref))
         assert np.max(np.abs(rows - ref) / den) < 1e-9
 
@@ -161,7 +277,7 @@ class TestPolynomialTable:
         for n in range(N + 1):
             for x in (0, 2, 5):
                 assert eval_orthonormal(positive, n, x) == pytest.approx(
-                    (-1.0) ** n * kr.ktilde(n, x, p, N)
+                    (-1.0) ** n * ktilde(n, x, p, N)
                 )
 
     def test_weights_normalized(self):
@@ -205,6 +321,10 @@ class TestPolynomialTable:
             kr.ktilde_table(1.2, 4)
         with pytest.raises(ValueError):
             kr.ktilde_table(0.4, 0)
+        # a bool is no lattice size: True would build the N = 1 chain
+        for flag in (True, np.True_):
+            with pytest.raises(ValueError, match="positive integer"):
+                kr.symmetric_chain(0.3, flag)
 
     def test_table_copies_are_independent(self):
         one = kr.ktilde_table(0.3, 4)
@@ -254,22 +374,87 @@ class TestOrthogonality:
 
 class TestLatticeOscillator:
     def test_spectrum_formula(self):
-        osc = kr.build_lattice_oscillator(0.3, 11)
-        vals = np.linalg.eigvalsh(osc.hamiltonian)
+        vals = np.linalg.eigvalsh(_band_dense(kr._lattice_hamiltonian(0.3, 11)))
         n = np.arange(12.0)
         want = np.sort(11.0 * (n + 0.5) - n**2)
         assert np.max(np.abs(vals - want)) < 1e-10
-        assert np.allclose(np.sort(osc.expected_spectrum()), want)
+        assert kr.lattice_spectrum_deviation(0.3, 11) < 1e-10
 
     def test_ladder_commutator_closes(self):
-        osc = kr.build_lattice_oscillator(0.7, 9)
-        assert kr.ladder_commutator_residual(osc) < 1e-11
+        assert kr.ladder_commutator_residual(0.7, 9) < 1e-11
 
     def test_su2_algebra(self):
-        kp, km, k0 = kr.polynomial_ladders(0.45, 8)
-        assert kr.so3_residuals(kp, km, k0) < 1e-11
+        # the band ladders conjugated by diag((-1)^n), as dense views
+        lower, raise_ = (_band_dense(b) for b in kr._lattice_ladders(0.45, 8))
+        D = np.diag((-1.0) ** np.arange(9))
+        kp, km = D @ raise_ @ D, D @ lower @ D
+        k0 = 0.5 * commutator(kp, km)
+        assert so3_residuals(kp, km, k0) < 1e-11
         # K0 is the centered number operator
-        assert np.allclose(np.diag(k0).real, np.arange(9.0) - 4.0, atol=1e-12)
+        assert np.allclose(np.diag(k0), np.arange(9.0) - 4.0, atol=1e-12)
+
+
+def bump_pair(pair):
+    """(M, M^T) from the band pair, with M[2, 3] (so M^T[3, 2]) moved by 1e-6."""
+    lo, d, up = pair[0]
+    up = up.copy()
+    up[2] += 1e-6
+    return (lo, d, up), (up, d, lo)
+
+
+def bump_band(band):
+    """The band with its diagonal entry [3, 3] moved by 1e-6."""
+    lo, d, up = band
+    d = d.copy()
+    d[3] += 1e-6
+    return lo, d, up
+
+
+class TestBandForms:
+    @pytest.mark.parametrize("p", (0.1, 0.4123457, 0.9))
+    @pytest.mark.parametrize("N", (1, 2, 5, 24, 96, 200))
+    def test_dense_views_match_dense_builders(self, p, N):
+        pairs = [
+            *zip(kr._lattice_ladders(p, N), dense_lattice_ladders(p, N)),
+            *zip(kr.grid_ladders(p, N), grid_ladders(p, N)),
+            (kr._grid_hamiltonian(p, N), grid_hamiltonian(p, N)),
+            *zip(kr._difference_forms(p, N),
+                 (difference_lowering_matrix(p, N), difference_raising_matrix(p, N))),
+        ]
+        for k, (band, want) in enumerate(pairs):
+            got = _band_dense(band)
+            assert np.all(np.abs(got - want) <= 2 * np.spacing(np.abs(want))), k
+
+    @pytest.mark.parametrize("p", (0.1, 0.4123457, 0.9))
+    @pytest.mark.parametrize("N", (1, 2, 5, 24, 96, 200))
+    def test_lattice_hamiltonian_is_diagonal_levels(self, p, N):
+        # (lower raise_ + raise_ lower) / 2 from the ladder band: diagonal,
+        # each level within 4 ulps of N(n + 1/2) - n^2
+        n = np.arange(N + 1.0)
+        want = np.diag(N * (n + 0.5) - n**2)
+        got = _band_dense(kr._lattice_hamiltonian(p, N))
+        assert np.all(np.abs(got - want) <= 4 * np.spacing(np.abs(want)))
+
+    @pytest.mark.parametrize("name, bump, fields", [
+        ("grid_ladders", bump_pair, ("grid_factorization", "grid_ladder_action", "transport")),
+        ("_grid_hamiltonian", bump_band,
+         ("grid_factorization", "transport", "hamiltonian_relation")),
+        ("_lattice_ladders", bump_pair,
+         ("ladder_commutator", "transport", "hamiltonian_relation")),
+    ])
+    def test_one_perturbed_entry_fails_band_and_dense(self, monkeypatch, name, bump, fields):
+        from polyosc.cli import _krawtchouk_point
+
+        p, N = 0.4123457, 6
+        for row in (_krawtchouk_point(p, N, 1e-8), dense_operator_residuals(p, N)):
+            assert all(row[f] < 1e-12 for f in fields), row
+        real = getattr(kr, name)
+        monkeypatch.setattr(kr, name, lambda p, N: bump(real(p, N)))
+        band = _krawtchouk_point(p, N, 1e-8)
+        dense = dense_operator_residuals(p, N)
+        assert not band["pass"]
+        for f in fields:
+            assert band[f] > 1e-8 and dense[f] > 1e-8, (f, band[f], dense[f])
 
 
 # The (p, N) pairs of acceptance criteria 1-2, then two large N.
@@ -281,17 +466,18 @@ SPECTRUM_POINTS = [(p, N) for p in (0.1, 0.3, 0.5, 0.7, 0.9) for N in (2, 5, 10,
 
 class TestSpectrumDeviations:
     # dense eigvalsh of the full matrices stays here as the oracle: the shared
-    # functions read the lattice H's diagonal and solve from the grid bands
+    # functions read the lattice H's diagonal and solve from the grid band
     @pytest.mark.parametrize("p, N", SPECTRUM_POINTS)
     def test_lattice_equals_dense_eigvalsh(self, p, N):
-        osc = kr.build_lattice_oscillator(p, N)
-        dense = np.linalg.eigvalsh(osc.hamiltonian)
-        want = np.max(np.abs(dense - np.sort(osc.expected_spectrum())))
+        ops = build_symmetric_oscillator(kr.symmetric_chain(p, N))
+        dense = np.linalg.eigvalsh(ops.hamiltonian) / (4.0 * p * (1.0 - p))
+        n = np.arange(N + 1.0)
+        want = np.max(np.abs(dense - np.sort(N * (n + 0.5) - n**2)))
         assert np.array_equal(kr.lattice_spectrum_deviation(p, N), want)
 
     @pytest.mark.parametrize("p, N", SPECTRUM_POINTS)
     def test_grid_equals_dense_eigvalsh(self, p, N):
-        dense = np.linalg.eigvalsh(kr.grid_hamiltonian(p, N))
+        dense = np.linalg.eigvalsh(grid_hamiltonian(p, N))
         want = np.max(np.abs(dense - (np.arange(N + 1) + 0.5)))
         assert np.array_equal(kr.grid_spectrum_deviation(p, N), want)
 
@@ -299,7 +485,8 @@ class TestSpectrumDeviations:
     def test_grid_equals_scipy_sterf(self, p, N):
         from scipy.linalg import eigvalsh_tridiagonal
 
-        levels = eigvalsh_tridiagonal(*kr._grid_bands(p, N), lapack_driver="sterf")
+        off, d, _ = kr._grid_hamiltonian(p, N)
+        levels = eigvalsh_tridiagonal(d, off, lapack_driver="sterf")
         want = np.max(np.abs(levels - (np.arange(N + 1) + 0.5)))
         assert np.array_equal(kr.grid_spectrum_deviation(p, N), want)
 
@@ -313,7 +500,7 @@ class TestGridSide:
 
     def test_grid_spectrum_is_half_integers(self):
         for p in P_SAMPLES:
-            H = kr.grid_hamiltonian(p, 14)
+            H = _band_dense(kr._grid_hamiltonian(p, 14))
             assert np.max(np.abs(np.linalg.eigvalsh(H) - (np.arange(15) + 0.5))) < 1e-11
 
     def test_factorization(self):
@@ -325,7 +512,8 @@ class TestGridSide:
         p, N = 0.35, 10
         psi = kr.grid_functions(p, N)
         lam = np.arange(N + 1) + 0.5
-        assert np.max(np.abs(kr.grid_hamiltonian(p, N) @ psi.T - psi.T * lam)) < 1e-11
+        H = kr._grid_hamiltonian(p, N)
+        assert np.max(np.abs(_band_apply(H, psi.T) - psi.T * lam)) < 1e-11
 
     def test_ladder_action_small_case(self):
         # N = 1: Psi has two levels; lowering the top one must return
@@ -333,7 +521,7 @@ class TestGridSide:
         p, N = 0.3, 1
         psi = kr.grid_functions(p, N)
         _, am = kr.grid_ladders(p, N)
-        assert np.allclose(am @ psi[1], psi[0], atol=1e-13)
+        assert np.allclose(_band_dense(am) @ psi[1], psi[0], atol=1e-13)
         assert kr.grid_ladder_action_residual(p, N) < 1e-13
 
     def test_ladder_action_general(self):
@@ -358,10 +546,6 @@ class TestIntertwiner:
         T = kr.polynomial_to_grid_map(p, N)
         assert np.array_equal(T, kr.grid_functions(p, N).T @ D)
         assert T.flags.c_contiguous
-        osc = kr.build_lattice_oscillator(p, N)
-        k_plus, k_minus, _ = kr.polynomial_ladders(p, N)
-        assert np.array_equal(k_plus, D @ osc.raise_ @ D)
-        assert np.array_equal(k_minus, D @ osc.lower @ D)
 
     def test_nan_ladder_fails_transport(self, monkeypatch):
         from polyosc.acceptance import criterion_8
@@ -369,10 +553,10 @@ class TestIntertwiner:
         real = kr.grid_ladders
 
         def poisoned(p, N):
-            a_plus, a_minus = real(p, N)
-            a_minus = a_minus.copy()
-            a_minus[0, 0] = np.nan
-            return a_plus, a_minus
+            a_plus, (lo, d, up) = real(p, N)
+            d = d.copy()  # A_minus shares its diagonal with A_plus
+            d[0] = np.nan
+            return a_plus, (lo, d, up)
 
         monkeypatch.setattr(kr, "grid_ladders", poisoned)
         assert kr.transport_residual(0.5, 6) == math.inf

@@ -10,9 +10,17 @@ from polyosc.momentsys import (
     coefficients_from_moments,
     gaussian_even_moments,
     moment_round_trip,
-    two_point_even_moments,
     verify_canonical_orthogonality,
 )
+
+
+def two_point_even_moments(count: int) -> MomentSequence:
+    """Even moments of (delta_{-1} + delta_{+1})/2: mu_{2k} = 1.
+
+    The canonical finite-support example: exactly one coefficient (b_0 = 1)
+    is recoverable before the Hankel pivots collapse.
+    """
+    return MomentSequence(np.ones(count))
 
 
 def test_gaussian_moments_give_sqrt_k_chain():

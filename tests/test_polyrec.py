@@ -10,7 +10,6 @@ from polyosc import (
     RecurrenceCoefficients,
     boson_chain,
     eval_monic_tilde,
-    eval_orthonormal,
     gauss_quadrature,
     index_double_factorials,
     index_factorials,
@@ -19,7 +18,7 @@ from polyosc import (
 )
 from polyosc import gaussian_moment_chain, hermite_chain, krawtchouk, krawtchouk_chain, polyrec
 from polyosc.polyrec import node_table
-from conftest import random_truncated_chain
+from conftest import eval_orthonormal, random_truncated_chain
 
 
 def monic_tilde_coefficients(chain, n: int) -> np.ndarray:
@@ -285,10 +284,38 @@ class TestRoots:
         with pytest.raises(ArithmeticError):
             roots(chain, deg)
 
+    @pytest.mark.parametrize("chain, deg", [
+        (boson_chain(60), 40),
+        (krawtchouk_chain(0.3, 400), 401),
+        (RecurrenceCoefficients(b=[0.9, 1.4, 0.0]), 3),
+        (RecurrenceCoefficients(b=[1.0]), 1),
+    ])
+    def test_residuals_equal_inline_shifted_rows(self, chain, deg):
+        # J v as the two off-diagonal rows written out, the form before the
+        # shared band kernel: each entry sums the same two products, so the
+        # CLI's scaled_residuals (residuals / scale) keep every bit
+        off = chain.b[: deg - 1]
+        y, v = polyrec._eigh_tridiagonal(np.zeros(deg), off)
+        Jv = np.zeros_like(v)
+        Jv[:-1] = off[:, None] * v[1:]
+        Jv[1:] += off[:, None] * v[:-1]
+        assert np.array_equal(roots(chain, deg).residuals, np.linalg.norm(Jv - v * y, axis=0))
+
     def test_degree_past_depth_names_the_depth(self):
         assert len(roots(boson_chain(5), 6)) == 6
         with pytest.raises(ChainError, match="past the chain's depth 5"):
             roots(boson_chain(5), 40)
+
+
+class TestBandKernel:
+    @pytest.mark.parametrize("n", (1, 2, 7, 30))
+    def test_apply_is_the_dense_product(self, rng, n):
+        band = (rng.normal(size=n - 1), rng.normal(size=n), rng.normal(size=n - 1))
+        Y = rng.normal(size=(n, 5))
+        M = polyrec._band_dense(band)
+        assert np.allclose(polyrec._band_apply(band, Y), M @ Y, rtol=1e-14, atol=1e-14)
+        # the reversed band is the transpose
+        assert np.array_equal(polyrec._band_dense(band[::-1]), M.T)
 
 
 class TestQuadrature:
@@ -389,7 +416,7 @@ def window(chain, npoints):
 def fresh_rule(chain, npoints):
     """The polished rule of the chain's npoints window, bypassing the cache."""
     diag, off = window(chain, npoints)
-    return polyrec._polished_rule.__wrapped__(diag.tobytes(), off.tobytes())
+    return polyrec._polished_rule.__wrapped__(diag.tobytes(), off.tobytes(), polyrec._LD)
 
 
 def scipy_started_rule(chain, npoints):
@@ -456,8 +483,14 @@ class TestRuleCache:
             npoints = int(rng.integers(2, chain.valid_depth + 2))
             self.assert_cached_rule_is_fresh(chain, npoints)
 
+    def test_rule_is_keyed_on_the_extended_dtype(self, monkeypatch):
+        chain = boson_chain(12)
+        assert all(part.dtype == np.longdouble for part in gauss_quadrature(chain, 9))
+        monkeypatch.setattr(polyrec, "_LD", np.float64)
+        assert all(part.dtype == np.float64 for part in gauss_quadrature(chain, 9))
+
     def test_cached_arrays_are_read_only(self):
-        y, w = polyrec._polished_rule(np.zeros(3).tobytes(), np.ones(2).tobytes())
+        y, w = polyrec._polished_rule(np.zeros(3).tobytes(), np.ones(2).tobytes(), polyrec._LD)
         assert not y.flags.writeable and not w.flags.writeable
 
     def test_in_place_mutation_is_a_new_window(self):
