@@ -14,10 +14,7 @@ from .polyrec import (
     as_chain,
     eval_monic_tilde,
     gauss_quadrature,
-    index_double_factorials,
-    index_factorials,
     roots,
-    tilde_quadrature,
 )
 from .momentsys import (
     MomentSequence,
@@ -40,7 +37,6 @@ from .coherent import (
     construct_resolution_measure,
     identity_residuals,
     profile_normalization,
-    quadrature_profile,
     resolution_residuals,
     route_agreement,
     transfer_closed_form,
@@ -65,10 +61,7 @@ __all__ = [
     "as_chain",
     "eval_monic_tilde",
     "gauss_quadrature",
-    "index_double_factorials",
-    "index_factorials",
     "roots",
-    "tilde_quadrature",
     "MomentSequence",
     "SupportExhaustedError",
     "coefficients_from_moments",
@@ -85,7 +78,6 @@ __all__ = [
     "construct_resolution_measure",
     "identity_residuals",
     "profile_normalization",
-    "quadrature_profile",
     "resolution_residuals",
     "route_agreement",
     "transfer_closed_form",

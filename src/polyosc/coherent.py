@@ -22,13 +22,16 @@ is computed by
 
 Route 3 deserves a remark.  The weights attached to the roots *must* be the
 Gauss-Christoffel weights of the chain's measure: the transfer recurrence
-is solved at the roots by psit_l / (2 b^2 factorials) whatever weights are
-chosen, but the starting row d[0, l] = delta_{l0} forces the weights to
-integrate psit_l exactly -- which pins them to the quadrature weights.  For
-the Hermite chain (b_n = sqrt((n+1)/2)) these collapse to the elegant
-closed expression const / psit_N(x_k)^2, and that special case's constant
-is kept here (profile_normalization) as an independent anchor.
-Every polynomial table here comes from polyrec.node_table.
+is solved at the roots y_k by psi_l(y_k) / F_l, F_l = prod_{j<l} sqrt(2) b_j,
+whatever weights are chosen, but the starting row d[0, l] = delta_{l0}
+forces the weights to integrate psi_l exactly -- which pins them to the
+quadrature weights.  For the Hermite chain (b_n = sqrt((n+1)/2)) these
+collapse to the elegant closed expression const / psit_N(x_k)^2 in the
+monic variable x = sqrt(2) y, and that special case's constant is kept
+here (profile_normalization) as an independent anchor.
+Every polynomial table here comes from polyrec.node_table, and every sum
+but that anchor runs on the orthonormal table psi_l at the nodes of the
+polished rule from polyrec.gauss_quadrature.
 """
 
 from __future__ import annotations
@@ -41,10 +44,7 @@ from .polyrec import (
     as_chain,
     eval_monic_tilde,
     gauss_quadrature,
-    index_double_factorials,
-    index_factorials,
     node_table,
-    tilde_quadrature,
     worst_of,
 )
 from .fockspace import build_symmetric_oscillator
@@ -71,11 +71,18 @@ def _truncation(chain, dim=None):
     return b, N
 
 
-def _tilde_rule(b: np.ndarray, N: int):
-    """Polished Gauss rule of the truncated chain in the tilde variable, with
-    the psit_0..psit_N table at its nodes (rows l, columns k)."""
-    x, w = tilde_quadrature(RecurrenceCoefficients(b=b[:N]), N + 1)
-    return x, w, node_table(b, N, x, "monic_tilde")
+def _finite_displacement(z):
+    """Every coherent route's entry check: a NaN or infinite z raises."""
+    if not np.isfinite(z):
+        raise ValueError("displacement z must be finite, got %r" % (z,))
+
+
+def _rule(b: np.ndarray, N: int):
+    """Polished Gauss rule (y, w) of the truncated chain, with the
+    psi_0..psi_N table at its nodes (rows l, columns k)."""
+    work = RecurrenceCoefficients(b=b[:N])
+    y, w = gauss_quadrature(work, N + 1)
+    return y, w, node_table(work, N, y, "orthonormal")
 
 
 def _phase_powers(z: complex, N: int) -> np.ndarray:
@@ -89,10 +96,11 @@ def _phase_powers(z: complex, N: int) -> np.ndarray:
     return np.exp(1j * (np.angle(z) * np.arange(N + 1)))
 
 
-def _profiles(rule, radii) -> np.ndarray:
-    """A_l(r) = sum_k W_k psit_l(x_k) exp(i r x_k); column i is r = radii[i]."""
-    x, w, table = rule
-    phases = np.exp(1j * np.multiply.outer(x, np.asarray(radii, dtype=float)))
+def _profile_sums(rule, radii) -> np.ndarray:
+    """sum_k w_k psi_l(y_k) exp(i r sqrt(2) y_k); column i is r = radii[i]."""
+    y, w, table = rule
+    turns = 1j * np.asarray(radii, dtype=float) * np.sqrt(polyrec._LD(2.0))
+    phases = np.exp(turns[None, :] * y[:, None])
     return np.asarray(table @ (w[:, None] * phases), dtype=complex)
 
 
@@ -103,6 +111,7 @@ def coherent_via_exponential(chain, z: complex, dim: int | None = None) -> np.nd
     exp(G) = V exp(-i w) V^dagger with (w, V) the eigensystem of iG; the
     result has unit norm to machine precision by construction.
     """
+    _finite_displacement(z)
     b, N = _truncation(chain, dim)
     ops = build_symmetric_oscillator(RecurrenceCoefficients(b=b), dim=N + 1)
     G = z * ops.raise_ - np.conj(z) * ops.lower
@@ -133,16 +142,18 @@ def transfer_coefficients(chain, nmax: int, dim: int | None = None) -> np.ndarra
 def transfer_closed_form(chain, nmax: int, dim: int | None = None) -> np.ndarray:
     """The same d table evaluated by quadrature over the truncation roots.
 
-    d[n, l] = sum_k W_k psit_l(x_k) x_k^n / (2 b^2_{l-1})!, where x_k are
-    the roots of psit_{N+1} and W_k the Gauss-Christoffel weights of the
-    chain.  The nodes must be accurate well beyond float64 here -- the x^n
-    powers amplify node error by a factor ~ n x^{n-1} -- which is why the
-    quadrature rule arrives Newton-polished in extended precision.
+    d[n, l] = sum_k w_k psi_l(y_k) x_k^n / F_l with x_k = sqrt(2) y_k and
+    F_l = prod_{j<l} sqrt(2) b_j, where (y_k, w_k) is the chain's Gauss rule
+    (the x_k are the roots of psit_{N+1}).  The nodes must be accurate well
+    beyond float64 here -- the x^n powers amplify node error by a factor
+    ~ n x^{n-1} -- which is why the quadrature rule arrives Newton-polished
+    in extended precision.
     """
     b, N = _truncation(chain, dim)
-    x, w, table = _tilde_rule(b, N)
-    # u[l, k] = psit_l(x_k) / (2b^2_{l-1})!
-    u = table / index_factorials(2.0 * b**2, N)[:, None]
+    y, w, table = _rule(b, N)
+    root2 = np.sqrt(polyrec._LD(2.0))
+    u = table / np.concatenate(([1.0], np.cumprod(root2 * b[:N])))[:, None]
+    x = root2 * y
     out = np.zeros((nmax + 1, N + 1))
     xp = np.ones_like(x)
     for n in range(nmax + 1):
@@ -162,6 +173,7 @@ def coherent_via_recurrence(
     past max_terms rows, or once eps * max_l sum_n |f[n, l]| exceeds
     _SERIES_ERROR_LIMIT (a NaN or inf row included).
     """
+    _finite_displacement(z)
     b, N = _truncation(chain, dim)
     if z == 0:
         out = np.zeros(N + 1, dtype=complex)
@@ -198,34 +210,20 @@ def coherent_via_recurrence(
     )
 
 
-def quadrature_profile(chain, r: float, dim: int | None = None) -> np.ndarray:
-    """Weighted node sums A_l(r) = sum_k W_k psit_l(x_k) exp(i r x_k), l = 0..N.
-
-    A_l(0) = delta_{l0} and |A_l| is independent of which coherent state the
-    profile feeds (the phase of z factors out of the closed form).
-    """
-    b, N = _truncation(chain, dim)
-    return _profiles(_tilde_rule(b, N), [r])[:, 0]
-
-
 def coherent_closed_form(chain, z: complex, dim: int | None = None) -> np.ndarray:
     """Displaced vacuum from the root/weight sum (no series, no exponential).
 
     C_l = (-i z/|z|)^l sum_k w_k psi_l(y_k) exp(i |z| sqrt(2) y_k) over the
-    Newton-polished Gauss rule (y_k, w_k): the profile A_l(|z|) divided by
-    (sqrt(2) b_{l-1})! term by term, so no factorial overflows.  At z = 0
-    the state is the vacuum.
+    Newton-polished Gauss rule (y_k, w_k).  No factorial enters the sum, so
+    none overflows.  At z = 0 the state is the vacuum.
     """
+    _finite_displacement(z)
     b, N = _truncation(chain, dim)
     if z == 0:
         out = np.zeros(N + 1, dtype=complex)
         out[0] = 1.0
         return out
-    r = abs(z)
-    work = RecurrenceCoefficients(b=b[:N])
-    y, w = gauss_quadrature(work, N + 1)
-    phases = np.exp(1j * r * np.sqrt(polyrec._LD(2.0)) * y)
-    amp = np.asarray(node_table(work, N, y, "orthonormal") @ (w * phases), dtype=complex)
+    amp = _profile_sums(_rule(b, N), [abs(z)])[:, 0]
     return _phase_powers(z, N) * _MINUS_I_POWERS[np.arange(N + 1) % 4] * amp
 
 
@@ -259,16 +257,19 @@ def profile_normalization(chain, dim: int | None = None) -> float:
     """
     b, N = _truncation(chain, dim)
     work = RecurrenceCoefficients(b=b[:N])
-    x, _ = tilde_quadrature(work, N + 1)
-    pN = np.atleast_1d(eval_monic_tilde(work, N, x))
+    y, _ = gauss_quadrature(work, N + 1)
+    pN = np.atleast_1d(eval_monic_tilde(work, N, np.sqrt(polyrec._LD(2.0)) * y))
     return float(1.0 / np.sum(pN**-2.0))
 
 
 # ---------------------------------------------------------------------------
 # identity ledger: finite-sum identities behind the closed form's phase
-# cancellations.  Each identity has one evaluator, taking the points and the
-# psit_0..psit_{N+1} table there; the ones that hold for every real x run at
-# 41 points past the spectrum and at the truncation roots.
+# cancellations, in the orthonormal variable y.  Each identity has one
+# evaluator, taking the points and the psi_0..psi_{N+1} table there, where
+# b_N is read as 1 so that row N+1 is the closing row
+# omega = y psi_N - b_{N-1} psi_{N-1} (psit_{N+1}(sqrt(2) y) = F_N sqrt(2) omega
+# with F_l = prod_{j<l} sqrt(2) b_j); the ones that hold for every real y run
+# at 41 points past the spectrum and at the truncation roots.
 
 
 def _relative_defect(lhs, rhs, biggest) -> float:
@@ -283,76 +284,74 @@ def _x_sum_defect(x, terms, rhs=0.0) -> float:
     return _relative_defect(x * terms.sum(axis=0), rhs, np.abs(x) * np.max(np.abs(terms), axis=0))
 
 
-def _square_identity(x, table, h) -> float:
-    """x sum_l (-1)^l psit_l^2 / h_l = (-1)^N psit_{N+1} psit_N / h_N, with
-    h_l = (2b^2_{l-1})! for l = 0..N."""
-    N = len(h) - 1
-    terms = (-1.0) ** np.arange(N + 1)[:, None] * table[: N + 1] ** 2 / h[:, None]
-    return _x_sum_defect(x, terms, (-1.0) ** N * table[N + 1] * table[N] / h[N])
+def _square_identity(y, table) -> float:
+    """y sum_{l<=N} (-1)^l psi_l^2 = (-1)^N omega psi_N, omega = row N+1."""
+    N = len(table) - 2
+    terms = (-1.0) ** np.arange(N + 1)[:, None] * table[: N + 1] ** 2
+    return _x_sum_defect(y, terms, (-1.0) ** N * table[N + 1] * table[N])
 
 
-def _even_identity(x, table, dfac) -> float:
-    """x sum_{p<=m} (-1)^p psit_{2p} / dfac_p = (-1)^m psit_{2m+1} / dfac_m,
-    with dfac_p = (2b^2_{2p-1})!! for p = 0..m and m = floor(N/2)."""
-    m = len(dfac) - 1
-    terms = (-1.0) ** np.arange(m + 1)[:, None] * table[0 : 2 * m + 1 : 2] / dfac[:, None]
-    return _x_sum_defect(x, terms, (-1.0) ** m * table[2 * m + 1] / dfac[m])
+def _even_identity(y, table, g, b) -> float:
+    """y sum_{p<=m} (-1)^p g_p psi_{2p} = (-1)^m g_m b_{2m} psi_{2m+1}, with
+    m = floor(N/2), g_p = prod_{q<p} b_{2q} / b_{2q+1} and b_N read as 1."""
+    m = (len(table) - 2) // 2
+    terms = (-1.0) ** np.arange(m + 1)[:, None] * g[: m + 1, None] * table[0 : 2 * m + 1 : 2]
+    return _x_sum_defect(y, terms, (-1.0) ** m * g[m] * b[2 * m] * table[2 * m + 1])
 
 
-def _kernel_identity(x, table, h) -> float:
-    """x_s x_k sum_l psit_l(x_s) psit_l(x_k) / h_l = 0 for distinct roots."""
-    n = len(h)
-    u = table[:n] / h[:, None]
-    gram = u.T @ table[:n]
+def _kernel_identity(y, table) -> float:
+    """y_s y_k sum_{l<=N} psi_l(y_s) psi_l(y_k) = 0 for distinct roots."""
+    n = len(y)
+    u = table[:n]
+    gram = u.T @ u
     # biggest summand per (s, k) pair, one s at a time: the (n, n, n) array
     # of all summands costs O(n^3) memory and was slower
-    big = np.array([np.max(np.abs(u[:, s, None] * table[:n]), axis=0) for s in range(n)])
-    xx = np.multiply.outer(x, x)
+    big = np.array([np.max(np.abs(u[:, s, None] * u), axis=0) for s in range(n)])
+    yy = np.multiply.outer(y, y)
     off = ~np.eye(n, dtype=bool)
-    return _relative_defect(xx[off] * gram[off], 0.0, np.abs(xx[off]) * big[off])
+    return _relative_defect(yy[off] * gram[off], 0.0, np.abs(yy[off]) * big[off])
 
 
 def identity_residuals(chain, dim: int | None = None) -> dict:
-    """The finite-sum identity ledger of a truncated chain, as residuals
-    relative to max(largest summand, |right side|, 1).  With
-    h_l = (2b^2_{l-1})! and m = floor(N/2):
+    """The finite-sum identity ledger of a truncated chain in the orthonormal
+    variable, as residuals relative to max(largest summand, |right side|, 1).
+    With b_N read as 1, omega = psi_{N+1} = y psi_N - b_{N-1} psi_{N-1},
+    g_p = prod_{q<p} b_{2q} / b_{2q+1} and m = floor(N/2):
 
-    - 'square' / 'alternating': x sum_l (-1)^l psit_l^2 / h_l equals
-      (-1)^N psit_{N+1} psit_N / h_N, past the spectrum / at the roots;
-    - 'even_sum' / 'even_alt': x sum_{p<=m} (-1)^p psit_{2p} / (2b^2_{2p-1})!!
-      equals (-1)^m psit_{2m+1} / (2b^2_{2m-1})!!, past the spectrum / at
-      the roots;
-    - 'zero': psit_{2p}(0) = (-1)^p 2b_0^2 2b_2^2 ... 2b_{2p-2}^2;
-    - 'kernel': x_s x_k sum_l psit_l(x_s) psit_l(x_k) / h_l = 0 for
-      distinct roots (kernel orthogonality);
-    - 'center' (even N >= 2 only): x_k sum_p psit_{2p}(0) psit_{2p}(x_k) / h_{2p}
-      = 0 at the roots.
+    - 'square' / 'alternating': y sum_l (-1)^l psi_l^2 equals
+      (-1)^N omega psi_N, past the spectrum / at the roots;
+    - 'even_sum' / 'even_alt': y sum_{p<=m} (-1)^p g_p psi_{2p} equals
+      (-1)^m g_m b_{2m} psi_{2m+1}, past the spectrum / at the roots;
+    - 'zero': psi_{2p}(0) = (-1)^p g_p;
+    - 'kernel': y_s y_k sum_l psi_l(y_s) psi_l(y_k) = 0 for distinct roots
+      (kernel orthogonality);
+    - 'center' (even N >= 2 only): y_k sum_p psi_{2p}(0) psi_{2p}(y_k) = 0
+      at the roots.
 
     The roots are the nodes of the chain's polished Gauss rule; a NaN or inf
     anywhere makes its entry inf.
     """
     b, N = _truncation(chain, dim)
-    tb2 = 2.0 * b**2
-    h = index_factorials(tb2, N)
-    dfac = index_double_factorials(tb2, 1, N // 2)
-    xmax = 2.0 * np.sqrt(2.0) * (np.max(np.abs(b)) + 1.0) * np.sqrt(N + 1.0)
-    past = np.linspace(-xmax, xmax, 41)
-    roots, _ = tilde_quadrature(RecurrenceCoefficients(b=b[:N]), N + 1)
-    past_table = node_table(b, N + 1, past, "monic_tilde")
-    root_table = node_table(b, N + 1, roots, "monic_tilde")
-    at0 = node_table(b, N + 1, 0.0, "monic_tilde")
+    ymax = 2.0 * (np.max(np.abs(b)) + 1.0) * np.sqrt(N + 1.0)
+    b[N] = 1.0
+    past = np.linspace(-ymax, ymax, 41)
+    roots, _ = gauss_quadrature(RecurrenceCoefficients(b=b[:N]), N + 1)
+    past_table = node_table(b, N + 1, past, "orthonormal")
+    root_table = node_table(b, N + 1, roots, "orthonormal")
+    at0 = node_table(b, N + 1, 0.0, "orthonormal")
     P = (N + 1) // 2
-    zero_want = (-1.0) ** np.arange(P + 1) * index_double_factorials(tb2, 0, P)
+    bl = b.astype(polyrec._LD)
+    g = np.concatenate(([1.0], np.cumprod(bl[0 : 2 * P : 2] / bl[1 : 2 * P : 2])))
     out = {
-        "square": _square_identity(past, past_table, h),
-        "alternating": _square_identity(roots, root_table, h),
-        "even_sum": _even_identity(past, past_table, dfac),
-        "even_alt": _even_identity(roots, root_table, dfac),
-        "zero": _relative_defect(at0[0::2], zero_want, 0.0),
-        "kernel": _kernel_identity(roots, root_table, h),
+        "square": _square_identity(past, past_table),
+        "alternating": _square_identity(roots, root_table),
+        "even_sum": _even_identity(past, past_table, g, b),
+        "even_alt": _even_identity(roots, root_table, g, b),
+        "zero": _relative_defect(at0[0::2], (-1.0) ** np.arange(P + 1) * g, 0.0),
+        "kernel": _kernel_identity(roots, root_table),
     }
     if N % 2 == 0 and N >= 2:
-        terms = at0[0 : N + 1 : 2, None] * root_table[0 : N + 1 : 2] / h[0::2, None]
+        terms = at0[0 : N + 1 : 2, None] * root_table[0 : N + 1 : 2]
         out["center"] = _x_sum_defect(roots, terms)
     return out
 
@@ -364,31 +363,44 @@ def identity_residuals(chain, dim: int | None = None) -> dict:
 def resolution_residuals(chain, t, weights, dim: int | None = None) -> np.ndarray:
     """How far a discrete radial measure is from resolving the identity.
 
-    residual_l = | sum_i weights_i |A_l(sqrt(t_i))|^2 - (2 b^2_{l-1})! |,
-    one entry per level l; a measure satisfying the completeness relation
-    makes every entry vanish.
+    residual_l = | sum_i weights_i |C_l(sqrt(t_i))|^2 - 1 |, one entry per
+    level l, where C_l(|z|) is the closed-form amplitude; a measure
+    satisfying the completeness relation makes every entry vanish.  t and
+    weights are one-dimensional, of one length, finite and nonnegative
+    (ValueError otherwise).
     """
+    t = np.asarray(t, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    if t.ndim != 1 or t.shape != weights.shape:
+        raise ValueError(
+            "t and weights must be one-dimensional of one length, got shapes %s and %s"
+            % (t.shape, weights.shape)
+        )
+    for name, v in (("t", t), ("weights", weights)):
+        if not np.all(np.isfinite(v) & (v >= 0.0)):
+            raise ValueError("%s must be finite and nonnegative" % name)
     b, N = _truncation(chain, dim)
-    radii = np.sqrt(np.asarray(t, dtype=float))
-    acc = np.abs(_profiles(_tilde_rule(b, N), radii)) ** 2 @ np.asarray(weights, dtype=float)
-    return np.abs(acc - index_factorials(2.0 * b**2, N)).astype(float)
+    acc = np.abs(_profile_sums(_rule(b, N), np.sqrt(t))) ** 2 @ weights
+    return np.abs(acc - 1.0)
 
 
 def construct_resolution_measure(chain, dim: int | None = None):
     """Find a nonnegative discrete radial measure resolving the identity.
 
     Places 8 (N + 1) nodes on a grid in t = |z|^2 and solves the
-    nonnegative least-squares system sum_i w_i |A_l(sqrt(t_i))|^2 = h_l.
-    Returns (t, weights); feed them to resolution_residuals to judge fit.
+    nonnegative least-squares system sum_i w_i |C_l(sqrt(t_i))|^2 = 1,
+    one row per level.  Returns (t, weights); feed them to
+    resolution_residuals to judge fit.
     """
     from scipy.optimize import nnls
 
     b, N = _truncation(chain, dim)
     if N == 0:
         return np.array([1.0]), np.array([1.0])
-    # spread nodes over a few characteristic radii of the spectrum
-    rule = _tilde_rule(b, N)
-    span = max(1.0, float(np.max(np.abs(rule[0]))))
+    # spread nodes over a few characteristic radii: the phases turn with
+    # r sqrt(2) y_k
+    rule = _rule(b, N)
+    span = max(1.0, float(np.sqrt(polyrec._LD(2.0)) * np.max(np.abs(rule[0]))))
     radii = np.linspace(1e-3, 4.0 * np.pi / (2.0 * span / (N + 1)), 8 * (N + 1))
-    w, _ = nnls(np.abs(_profiles(rule, radii)) ** 2, index_factorials(2.0 * b**2, N))
+    w, _ = nnls(np.abs(_profile_sums(rule, radii)) ** 2, np.ones(N + 1))
     return radii**2, w

@@ -10,11 +10,13 @@ Two polynomial normalizations are used throughout:
       x psit_n = psit_{n+1} + 2 b_{n-1}^2 psit_{n-1},   psit_0 = 1, psit_1 = x.
 
 They are related by a sqrt(2) change of variable,
-    psit_n(sqrt(2) x) = fact_idx(sqrt(2) b, n) * psi_n(x),
-where fact_idx(v, n) = v_0 ... v_{n-1} (see index_factorials).  Every value
-of either family comes from one kernel, node_table, except in the Newton
-sweep of _refined_gauss_rule, which runs its own monic recurrence for p and
-p'.  Roots are Jacobi-matrix eigenvalues, never polynomial root finding.
+    psit_n(sqrt(2) x) = F_n psi_n(x),   F_n = prod_{j<n} sqrt(2) b_j.
+Every sum the package forms runs on psi, whose values stay bounded on the
+spectrum; psit is kept for the Hermite normalization constant and the
+root sets, whose definitions are monic.  Every value of either family
+comes from one kernel, node_table, except in the Newton sweep of
+_refined_gauss_rule, which runs its own monic recurrence for p and p'.
+Roots are Jacobi-matrix eigenvalues, never polynomial root finding.
 Every Jacobi eigensolve goes through _eigh_tridiagonal, which hands the
 dense symmetric matrix to numpy's LAPACK (syevd), so importing the package
 needs numpy alone.  The dense solve is O(n^3) where a tridiagonal solver
@@ -155,28 +157,6 @@ def worst_of(*values) -> float:
             return math.inf
         worst = max(worst, float(v))
     return worst
-
-
-def index_factorials(values, n: int) -> np.ndarray:
-    """(values_{l-1})! = values[0] * ... * values[l-1] for l = 0..n, entry 0
-    the empty product 1, as one longdouble cumulative product: with
-    values = 2 b^2 on the boson chain entry l is l!, finite past l = 170."""
-    values = np.asarray(values)
-    if not 0 <= n <= len(values):
-        raise ValueError("index factorial needs %d entries, have %d" % (n, len(values)))
-    return np.concatenate(([1.0], np.cumprod(values[:n].astype(_LD))))
-
-
-def index_double_factorials(values, start: int, count: int) -> np.ndarray:
-    """1, values[start], values[start] values[start+2], ... (count + 1
-    entries) as one longdouble cumulative product; with values = 2 b^2,
-    start = 1 gives (2b^2_{2p-1})!! at entry p and start = 0 (2b^2_{2p-2})!!."""
-    values = np.asarray(values)
-    if count < 0 or (count and start + 2 * count - 2 >= len(values)):
-        raise ValueError(
-            "index double factorial needs entry %d, have %d" % (start + 2 * count - 2, len(values))
-        )
-    return np.concatenate(([1.0], np.cumprod(values[start : start + 2 * count : 2].astype(_LD))))
 
 
 def node_table(chain, nmax: int, x, normalization: str) -> np.ndarray:
@@ -381,9 +361,3 @@ def gauss_quadrature(chain, npoints: int):
         return y.copy(), w.copy()
     vals, vecs = _eigh_tridiagonal(diag, off)
     return vals, vecs[0] ** 2
-
-
-def tilde_quadrature(chain, npoints: int):
-    """Gauss rule transported to the monic-tilde variable (x = sqrt(2) y)."""
-    nodes, weights = gauss_quadrature(chain, npoints)
-    return np.sqrt(_LD(2.0)) * nodes, weights

@@ -185,6 +185,13 @@ class TestCoherentCommand:
         assert err.startswith("error:")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("re_im", (["nan", "0"], ["0", "inf"]))
+    def test_non_finite_z_is_a_usage_error(self, capsys, re_im):
+        rc, out, err = run(capsys, ["coherent", "--chain", "boson", "--dim", "5", "--z", *re_im])
+        assert rc == 2
+        assert out == ""
+        assert "z must be finite" in err
+
     def test_open_chain_needs_level_info(self, capsys):
         rc, _, err = run(capsys, ["coherent", "--z", "1.0", "0.0"])
         assert rc == 2

@@ -15,15 +15,26 @@ from polyosc import (
     construct_resolution_measure,
     identity_residuals,
     krawtchouk,
+    gauss_quadrature,
     profile_normalization,
-    quadrature_profile,
     resolution_residuals,
     route_agreement,
     transfer_closed_form,
     transfer_coefficients,
 )
-from polyosc.polyrec import eval_monic_tilde, tilde_quadrature
+from polyosc.polyrec import eval_monic_tilde
 from conftest import random_truncated_chain
+
+
+def quadrature_profile(chain, r: float, dim: int | None = None) -> np.ndarray:
+    """Weighted node sums A_l(r) = sum_k W_k psit_l(x_k) exp(i r x_k), l = 0..N.
+
+    The library's orthonormal profile sums times F_l = prod_{j<l} sqrt(2) b_j,
+    since psit_l(sqrt(2) y) = F_l psi_l(y).
+    """
+    b, N = coherent._truncation(chain, dim)
+    F = np.concatenate(([1.0], np.cumprod(np.sqrt(2.0) * b[:N])))
+    return F * coherent._profile_sums(coherent._rule(b, N), [r])[:, 0]
 
 
 def node_sum_profile(chain, l: int, r: float, dim: int | None = None) -> complex:
@@ -35,7 +46,8 @@ def node_sum_profile(chain, l: int, r: float, dim: int | None = None) -> complex
     """
     b, N = coherent._truncation(chain, dim)
     work = RecurrenceCoefficients(b=b[:N])
-    x, _ = tilde_quadrature(work, N + 1)
+    y, _ = gauss_quadrature(work, N + 1)
+    x = np.sqrt(np.longdouble(2.0)) * y
     pl = np.atleast_1d(eval_monic_tilde(work, l, x))
     pN = np.atleast_1d(eval_monic_tilde(work, N, x))
     return complex(np.sum(pl * np.exp(1j * r * x) / pN**2))
@@ -157,6 +169,13 @@ class TestThreeWayAgreement:
     def test_series_that_cannot_settle_raises(self):
         with pytest.raises(ArithmeticError):
             coherent_via_recurrence(TWO_LEVEL, 2.0, max_terms=3)
+
+    @pytest.mark.parametrize("route", (coherent_via_exponential, coherent_via_recurrence,
+                                       coherent_closed_form))
+    @pytest.mark.parametrize("z", (np.nan, np.inf, complex(np.inf, 0.0)), ids=("nan", "inf", "inf+0j"))
+    def test_non_finite_displacement_raises(self, route, z):
+        with pytest.raises(ValueError, match="must be finite"):
+            route(boson_chain(6), z, dim=4)
 
 
 @st.composite
@@ -396,6 +415,20 @@ class TestIdentityLedger:
         assert set(out) == LEDGER_KEYS | {"center"}
         assert all(v == np.inf for v in out.values())
 
+    def test_perturbed_table_fails(self, monkeypatch):
+        # psi_1 off by one part in 1e6 must show in the sums over l
+        real = coherent.node_table
+
+        def scaled(*args):
+            out = np.array(real(*args))
+            out[1] *= 1.0 + 1e-6
+            return out
+
+        monkeypatch.setattr(coherent, "node_table", scaled)
+        out = identity_residuals(boson_chain(9), dim=9)
+        for key in ("square", "alternating", "kernel"):
+            assert out[key] > 1e-8, key
+
     def test_even_truncation_extras_present(self):
         even, odd = krawtchouk.symmetric_chain(0.5, 6), krawtchouk.symmetric_chain(0.5, 7)
         assert set(identity_residuals(even)) == LEDGER_KEYS | {"center"}
@@ -418,3 +451,32 @@ class TestResolutionMeasure:
     def test_single_level(self):
         t, w = construct_resolution_measure(RecurrenceCoefficients(b=[0.0]))
         assert np.max(resolution_residuals(RecurrenceCoefficients(b=[0.0]), t, w)) < 1e-12
+
+    def test_lattice_resolves_every_level(self):
+        # one row |C_l|^2 = 1 per level; unscaled rows against (2 b^2_{l-1})!
+        # left this fit a relative misfit of 1
+        ch = krawtchouk.symmetric_chain(0.4123, 24)
+        t, w = construct_resolution_measure(ch)
+        assert np.max(resolution_residuals(ch, t, w)) <= 1e-12
+
+    def test_large_lattice_is_finite_without_warnings(self):
+        ch = krawtchouk.symmetric_chain(0.4123, 400)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = resolution_residuals(ch, [0.5, 2.0], [0.3, 0.7])
+        assert got.shape == (401,)
+        assert np.all(np.isfinite(got))
+
+    @pytest.mark.parametrize("t, w", [
+        ([-1.0, 0.5], [0.5, 0.5]),
+        ([np.inf, 0.5], [0.5, 0.5]),
+        ([np.nan, 0.5], [0.5, 0.5]),
+        ([0.5, 1.0], [np.inf, 0.5]),
+        ([0.5, 1.0], [np.nan, 0.5]),
+        ([0.5, 1.0], [-0.1, 0.5]),
+        ([0.5, 1.0], [0.5]),
+    ], ids=["negative-t", "inf-t", "nan-t", "inf-weight", "nan-weight", "negative-weight",
+            "length-mismatch"])
+    def test_bad_measure_rejected(self, t, w):
+        with pytest.raises(ValueError):
+            resolution_residuals(krawtchouk.symmetric_chain(0.3, 4), t, w)

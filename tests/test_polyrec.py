@@ -11,10 +11,7 @@ from polyosc import (
     boson_chain,
     eval_monic_tilde,
     gauss_quadrature,
-    index_double_factorials,
-    index_factorials,
     roots,
-    tilde_quadrature,
 )
 from polyosc import gaussian_moment_chain, hermite_chain, krawtchouk, krawtchouk_chain, polyrec
 from polyosc.polyrec import node_table
@@ -32,6 +29,27 @@ def monic_tilde_coefficients(chain, n: int) -> np.ndarray:
         prev = np.concatenate((ckm1, np.zeros(len(shifted) - len(ckm1), dtype=np.longdouble)))
         ckm1, ck = ck, shifted - (tb2[k - 1] if k > 0 else 0.0) * prev
     return ck.astype(float)
+
+
+def index_factorials(values, n: int) -> np.ndarray:
+    """values_0 ... values_{l-1} for l = 0..n, entry 0 the empty product 1,
+    as one longdouble cumulative product (oracle for F_l = prod sqrt(2) b_j)."""
+    values = np.asarray(values)
+    if not 0 <= n <= len(values):
+        raise ValueError("index factorial needs %d entries, have %d" % (n, len(values)))
+    return np.concatenate(([1.0], np.cumprod(values[:n].astype(np.longdouble))))
+
+
+def index_double_factorials(values, start: int, count: int) -> np.ndarray:
+    """1, values[start], values[start] values[start+2], ... (count + 1
+    entries) as one longdouble cumulative product; with values = 2 b^2,
+    start = 0 gives (-1)^p psit_{2p}(0) at entry p."""
+    values = np.asarray(values)
+    if count < 0 or (count and start + 2 * count - 2 >= len(values)):
+        raise ValueError(
+            "index double factorial needs entry %d, have %d" % (start + 2 * count - 2, len(values))
+        )
+    return np.concatenate(([1.0], np.cumprod(values[start : start + 2 * count : 2].astype(np.longdouble))))
 
 
 b_values = st.lists(st.floats(0.3, 2.0), min_size=1, max_size=8)
@@ -188,11 +206,22 @@ class TestEvaluation:
         y = np.array(ys)
         psit = node_table(ch, n, np.sqrt(2.0) * y, "monic_tilde")
         psi = node_table(ch, n, y, "orthonormal")
-        fact = np.concatenate(([1.0], np.cumprod(np.sqrt(2.0) * ch.b[:n])))
+        fact = index_factorials(np.sqrt(2.0) * ch.b, n)
         for l in range(n + 1):
             left = np.asarray(psit[l], dtype=float)
             right = fact[l] * np.asarray(psi[l], dtype=float)
             assert left == pytest.approx(right, rel=1e-10, abs=1e-10), l
+
+    @given(b_values)
+    def test_monic_values_at_zero(self, bs):
+        # psit_{2p}(0) = (-1)^p 2b_0^2 2b_2^2 ... 2b_{2p-2}^2 and psit_{2p+1}(0) = 0
+        ch = RecurrenceCoefficients(b=bs)
+        n = ch.depth + 1
+        at0 = node_table(ch, n, 0.0, "monic_tilde")
+        P = n // 2
+        want = (-1.0) ** np.arange(P + 1) * index_double_factorials(2.0 * ch.b**2, 0, P)
+        assert np.asarray(at0[0::2], dtype=float) == pytest.approx(np.asarray(want, dtype=float), rel=1e-14)
+        assert np.all(at0[1::2] == 0.0)
 
     def test_eval_is_last_kernel_row(self, rng):
         ch = random_truncated_chain(rng, max_levels=8)
@@ -347,11 +376,10 @@ class TestQuadrature:
         assert np.max(np.abs(gram - np.eye(npts))) < 1e-10
 
     def test_tilde_rule_is_sqrt2_scaled(self):
+        # the roots of psit_5 are sqrt(2) times the nodes of the 5-point rule
         ch = boson_chain(6)
-        ny, wy = gauss_quadrature(ch, 5)
-        nx, wx = tilde_quadrature(ch, 5)
-        assert np.allclose(np.asarray(nx, float), np.sqrt(2.0) * np.asarray(ny, float))
-        assert np.allclose(np.asarray(wx, float), np.asarray(wy, float))
+        ny, _ = gauss_quadrature(ch, 5)
+        assert np.allclose(roots(ch, 5).x, np.sqrt(2.0) * np.asarray(ny, float), rtol=0.0, atol=1e-13)
 
     def test_single_point_rule(self):
         nodes, w = gauss_quadrature(RecurrenceCoefficients(b=[1.0], a=[0.4]), 1)
@@ -540,7 +568,6 @@ def test_extended_dtype_has_one_owner(monkeypatch):
     monkeypatch.setattr(polyrec, "_LD", np.float64)
     chain = RecurrenceCoefficients(b=[0.61, 1.37, 0.0])
     assert node_table(chain, 3, [0.5, 1.5], "monic_tilde").dtype == np.float64
-    assert index_factorials([2.0, 3.0], 2).dtype == np.float64
     assert all(part.dtype == np.float64 for part in fresh_rule(chain, 3))
     moments = momentsys.MomentSequence([1.0, 0.5])
     assert moments.even.dtype == moments.hankel(2).dtype == np.float64
