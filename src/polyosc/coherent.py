@@ -50,9 +50,9 @@ from .polyrec import (
 from .fockspace import build_symmetric_oscillator
 
 # The series route raises once eps * sum |terms| passes the package's default
-# tolerance (also criterion 4's norm bound); a row below _SERIES_QUIET of the
-# running amplitudes is negligible.
-_SERIES_ERROR_LIMIT = 1e-8
+# tolerance (also criterion 4's norm bound), the resolution fit once a level
+# misses 1 by more; a row below _SERIES_QUIET of the running amplitudes is small.
+_ERROR_LIMIT = 1e-8
 _SERIES_QUIET = 1e-15
 # (-i)^l for l mod 4, exact
 _MINUS_I_POWERS = np.array([1.0, -1j, -1.0, 1j])
@@ -171,7 +171,7 @@ def coherent_via_recurrence(
     A[l+1, l] = sqrt(2) b_l = -A[l, l+1].  Stops after two consecutive rows
     below _SERIES_QUIET of max(1, largest amplitude); raises ArithmeticError
     past max_terms rows, or once eps * max_l sum_n |f[n, l]| exceeds
-    _SERIES_ERROR_LIMIT (a NaN or inf row included).
+    _ERROR_LIMIT (a NaN or inf row included).
     """
     _finite_displacement(z)
     b, N = _truncation(chain, dim)
@@ -194,10 +194,10 @@ def coherent_via_recurrence(
         acc += f
         mass += np.abs(f)
         bound = np.finfo(float).eps * np.max(mass)
-        if not bound <= _SERIES_ERROR_LIMIT:
+        if not bound <= _ERROR_LIMIT:
             raise ArithmeticError(
                 "series for |z| = %g cancels too much: eps * sum |terms| = %.2e "
-                "exceeds %g at order %d" % (r, bound, _SERIES_ERROR_LIMIT, n)
+                "exceeds %g at order %d" % (r, bound, _ERROR_LIMIT, n)
             )
         if np.max(np.abs(f)) < _SERIES_QUIET * max(1.0, np.max(np.abs(acc))):
             quiet += 1
@@ -336,9 +336,9 @@ def identity_residuals(chain, dim: int | None = None) -> dict:
     b[N] = 1.0
     past = np.linspace(-ymax, ymax, 41)
     roots, _ = gauss_quadrature(RecurrenceCoefficients(b=b[:N]), N + 1)
-    past_table = node_table(b, N + 1, past, "orthonormal")
-    root_table = node_table(b, N + 1, roots, "orthonormal")
-    at0 = node_table(b, N + 1, 0.0, "orthonormal")
+    # one pass over every point; node_table works point by point
+    table = node_table(b, N + 1, np.concatenate((past, roots, [0.0])), "orthonormal")
+    past_table, root_table, at0 = table[:, :41], table[:, 41:-1], table[:, -1]
     P = (N + 1) // 2
     bl = b.astype(polyrec._LD)
     g = np.concatenate(([1.0], np.cumprod(bl[0 : 2 * P : 2] / bl[1 : 2 * P : 2])))
@@ -389,18 +389,21 @@ def construct_resolution_measure(chain, dim: int | None = None):
 
     Places 8 (N + 1) nodes on a grid in t = |z|^2 and solves the
     nonnegative least-squares system sum_i w_i |C_l(sqrt(t_i))|^2 = 1,
-    one row per level.  Returns (t, weights); feed them to
-    resolution_residuals to judge fit.
+    one row per level.  Returns (t, weights); a fit that misses a level by
+    more than _ERROR_LIMIT raises ArithmeticError (the truncated boson has
+    no such measure).
     """
     from scipy.optimize import nnls
 
     b, N = _truncation(chain, dim)
-    if N == 0:
-        return np.array([1.0]), np.array([1.0])
     # spread nodes over a few characteristic radii: the phases turn with
     # r sqrt(2) y_k
     rule = _rule(b, N)
     span = max(1.0, float(np.sqrt(polyrec._LD(2.0)) * np.max(np.abs(rule[0]))))
     radii = np.linspace(1e-3, 4.0 * np.pi / (2.0 * span / (N + 1)), 8 * (N + 1))
     w, _ = nnls(np.abs(_profile_sums(rule, radii)) ** 2, np.ones(N + 1))
+    misfit = worst_of(resolution_residuals(chain, radii**2, w, dim))
+    if not misfit <= _ERROR_LIMIT:
+        raise ArithmeticError("no nonnegative measure resolves the identity: the best fit "
+                              "misses a level by %.2g (limit %g)" % (misfit, _ERROR_LIMIT))
     return radii**2, w

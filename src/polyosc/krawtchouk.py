@@ -5,29 +5,33 @@ weight rho(x) = C(N, x) p^x (1-p)^{N-x}.  Two equivalent pictures are built
 and cross-mapped:
 
 * the *polynomial side*: the orthonormalized lattice polynomials kt_n
-  ("ktilde"), their recurrence chain, and oscillator operators built from
-  the zero-diagonal chain b_{n-1}^2 = p(1-p) n (N-n+1);
-* the *grid side*: lattice wave functions Psi_n(xi_j) on the physical grid
-  xi_j = h (j - pN), a difference-operator Hamiltonian with the exactly
-  equidistant spectrum n + 1/2, and su(2)-type ladder operators.
+  ("ktilde") and oscillator operators built from the zero-diagonal chain
+  b_{n-1}^2 = p(1-p) n (N-n+1);
+* the *grid side*: lattice wave functions Psi_n(j) = (-1)^n sqrt(rho(j))
+  kt_n(j), a difference-operator Hamiltonian with the exactly equidistant
+  spectrum n + 1/2, and su(2)-type ladder operators.
 
 The unitary map between the two sides (polynomial_to_grid_map) transports
 ladders onto ladders and diagonalizes the grid Hamiltonian.
 
-Every operator on either side is tridiagonal, and each is kept as its band
-(lo, d, up): lo[j] = M[j+1, j], d[j] = M[j, j], up[j] = M[j, j+1].  Every
-operator identity is checked through one shifted-row kernel,
-polyrec._band_apply, which forms M @ Y without BLAS in O(N^2) for an
-(N+1)-square Y: a commutator [A, B] is A applied to dense(B) minus B
-applied to dense(A), and a right product Y @ M applies the reversed
-(transposed) band to Y^T.  The only dense matrix products left are the two
-Gram checks of the tables (dual_orthogonality_residuals and
-grid_orthogonality_residuals).
+One cached record per (p, N), _lattice, holds the exact kt table, its norm
+factors, sqrt(rho) and Psi, read-only; every check and accessor reads it.
+sqrt(rho) is its exact value rounded once, so Psi stays finite and
+orthogonal where rho itself underflows.  Every operator on either side is
+tridiagonal, and each is kept as its band (lo, d, up): lo[j] = M[j+1, j],
+d[j] = M[j, j], up[j] = M[j, j+1].  Every operator identity is checked
+through one shifted-row kernel, polyrec._band_apply, which forms M @ Y
+without BLAS in O(N^2) for an (N+1)-square Y: a commutator [A, B] is A
+applied to dense(B) minus B applied to dense(A), and a right product Y @ M
+applies the reversed (transposed) band to Y^T.  The only dense matrix
+products left are the two Gram checks of the tables
+(dual_orthogonality_residuals and grid_orthogonality_residuals).
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from functools import lru_cache
 
 import numpy as np
@@ -50,25 +54,39 @@ def _check_pn(p: float, N: int):
 
 
 @lru_cache(maxsize=64)
-def _weights_cached(p: float, N: int) -> np.ndarray:
-    """rho(x), x = 0..N, each entry one correctly rounded exact rational.
+def _weights_cached(p: float, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rho(x), sqrt(rho(x))), x = 0..N, each exact value rounded once.
 
-    With p = m/D exactly (D a power of two) and r = D - m,
-    rho(x) = C(N, x) m^x r^(N-x) / D^N.  The numerators come from running
-    integer products and each is divided by D^N once (int / int true
-    division rounds correctly and underflows to 0 rather than raising).
+    With p = m/D exactly (D a power of two, D^N = 2^K) and r = D - m,
+    rho(x) = C(N, x) m^x r^(N-x) / D^N; each numerator, from running integer
+    products, is divided by D^N once (int / int true division rounds
+    correctly and underflows to 0).  sqrt(rho) stays in range where rho
+    does not (0.3^800 ~ 1e-418 is 0 in float64, its root is not): isqrt of
+    the numerator's top ~128 bits, cut at an even power of two, has ~64 bits,
+    and a remainder or cut bit sets its last bit, so float() rounds as it
+    would the exact root (ldexp scales exactly unless the result is subnormal).
     """
     m, D = p.as_integer_ratio()
     r = D - m
-    m_pow = [1]
-    r_pow = [1]
+    m_pow, r_pow = [1], [1]
     for _ in range(N):
         m_pow.append(m_pow[-1] * m)
         r_pow.append(r_pow[-1] * r)
     denom = D**N
-    weights = np.array([math.comb(N, x) * m_pow[x] * r_pow[N - x] / denom for x in range(N + 1)])
-    weights.setflags(write=False)
-    return weights
+    K = denom.bit_length() - 1
+    rho, sqrt_rho = np.empty(N + 1), np.empty(N + 1)
+    for x in range(N + 1):
+        num = math.comb(N, x) * m_pow[x] * r_pow[N - x]
+        rho[x] = num / denom
+        e = num.bit_length() - 128
+        e -= (e - K) % 2  # sqrt(num / 2^K) = sqrt(num / 2^e) 2^((e - K) / 2)
+        top = num >> e if e >= 0 else num << -e
+        root = math.isqrt(top)
+        inexact = root * root != top or (e > 0 and top << e != num)
+        sqrt_rho[x] = math.ldexp(float(root | inexact), (e - K) // 2)
+    rho.setflags(write=False)
+    sqrt_rho.setflags(write=False)
+    return rho, sqrt_rho
 
 
 def weight_rho(x, p: float, N: int):
@@ -83,33 +101,8 @@ def weight_rho(x, p: float, N: int):
         (x_arr >= 0) & (x_arr <= N) & (np.trunc(x_arr) == x_arr)
     ):
         raise ValueError("x must be integers in 0..%d, got %r" % (N, x))
-    out = _weights_cached(float(p), int(N))[x_arr.astype(int)]
+    out = _weights_cached(float(p), int(N))[0][x_arr.astype(int)]
     return out if out.ndim else float(out)
-
-
-@lru_cache(maxsize=64)
-def _norm_factors(p: float, N: int) -> np.ndarray:
-    """c_n = sqrt(C(N, n) m^n / r^n), n = 0..N, with p = m/D and r = D - m:
-    the factors sqrt(C(N, n) (p/q)^n) that scale K_n to unit norm under rho.
-    The ratio is one correctly rounded int / int division, then one sqrt."""
-    m, D = p.as_integer_ratio()
-    r = D - m
-    factors = np.array([math.sqrt(math.comb(N, n) * m**n / r**n) for n in range(N + 1)])
-    factors.setflags(write=False)
-    return factors
-
-
-def recurrence_chain(p: float, N: int) -> RecurrenceCoefficients:
-    """The chain whose orthonormal family is kt_n.
-
-    Diagonal a_n = p(N-n) + n(1-p); off-diagonal
-    b_n = -sqrt(p(1-p)(n+1)(N-n)), negative, with b_N = 0 closing the space.
-    """
-    _check_pn(p, N)
-    n = np.arange(N + 1, dtype=float)
-    a = p * (N - n) + n * (1.0 - p)
-    b = -np.sqrt(p * (1.0 - p) * (n + 1.0) * (N - n))
-    return RecurrenceCoefficients(b=b, a=a, label="krawtchouk(p=%g,N=%d)" % (p, N))
 
 
 def symmetric_chain(p: float, N: int) -> RecurrenceCoefficients:
@@ -125,8 +118,7 @@ def symmetric_chain(p: float, N: int) -> RecurrenceCoefficients:
     return RecurrenceCoefficients(b=b, label="krawtchouk-sym(p=%g,N=%d)" % (p, N))
 
 
-@lru_cache(maxsize=64)
-def _ktilde_table_cached(p: float, N: int) -> np.ndarray:
+def _ktilde_table(p: float, N: int) -> np.ndarray:
     """Exact-arithmetic kt table, rounded to float once per entry.
 
     The three-term recurrence in the degree is *unstable* in floating
@@ -173,15 +165,32 @@ def _ktilde_table_cached(p: float, N: int) -> np.ndarray:
             up, low = m * (N - n), n * r * m * (N - n + 1)
             prev, cur = cur[1:], (up + n * r - Dx[n + 1 :]) * cur[1:] - low * prev[1:]
             d *= up
-    table *= _norm_factors(p, N)[:, None]
-    table.setflags(write=False)
+    table *= np.array([math.sqrt(math.comb(N, n) * m**n / r**n) for n in range(N + 1)])[:, None]
     return table
+
+
+_Lattice = namedtuple("_Lattice", "table c sqrt_rho psi")
+
+
+# typed, so a bool N is checked, not served N = 1's record; 32 records: ~330 MB at N = 800
+@lru_cache(maxsize=32, typed=True)
+def _lattice(p: float, N: int) -> _Lattice:
+    """The read-only arrays every lattice check shares, built once per
+    (p, N): table[n, x] = kt_n(x), the norm factors c, sqrt_rho and the
+    wave functions psi[n, j] = (-1)^n sqrt(rho(j)) kt_n(j)."""
+    _check_pn(p, N)
+    p, N = float(p), int(N)
+    table = _ktilde_table(p, N)
+    sqrt_rho = _weights_cached(p, N)[1]
+    psi = (-1.0) ** np.arange(N + 1)[:, None] * sqrt_rho[None, :] * table
+    for array in (table, psi):
+        array.setflags(write=False)
+    return _Lattice(table, table[:, 0], sqrt_rho, psi)  # c_n = kt_n(0), as K_n(0) = 1
 
 
 def ktilde_table(p: float, N: int) -> np.ndarray:
     """Table kt[n, x] for n, x = 0..N, entries accurate to ~1 ulp."""
-    _check_pn(p, N)
-    return _ktilde_table_cached(float(p), int(N)).copy()
+    return _lattice(p, N).table.copy()
 
 
 def dual_orthogonality_residuals(p: float, N: int) -> tuple[float, float]:
@@ -193,15 +202,16 @@ def dual_orthogonality_residuals(p: float, N: int) -> tuple[float, float]:
     where kt_x(n) carries the normalization of its *degree* index x.  The
     two differ numerically as the row versus column Gram of the same table.
     """
-    _check_pn(p, N)
-    x = np.arange(N + 1, dtype=float)
-    rho = weight_rho(x, p, N)
-    c = _norm_factors(float(p), int(N))
-    plain = ktilde_table(p, N) / c[:, None]  # plain[n, x] = K_n(x)
+    table, c, s, _ = _lattice(p, N)
+    plain = table / c[:, None]  # plain[n, x] = K_n(x)
     eye = np.eye(N + 1)
-    first = c[:, None] * ((plain * rho) @ plain.T) * c[None, :] - eye
+    # sqrt(rho) goes into both factors of each Gram, as (s K)(s K)^T: rho
+    # alone underflows where sqrt(rho) times K is still O(1)
+    cols = plain * s
+    first = c[:, None] * (cols @ cols.T) * c[None, :] - eye
     # kt_x(n) = c_x K_x(n) = c_x K_n(x) by self-duality: contract over rows
-    second = c[:, None] * (plain.T @ (rho[:, None] * plain)) * c[None, :] - eye
+    rows = s[:, None] * plain
+    second = c[:, None] * (rows.T @ rows) * c[None, :] - eye
     return worst_of(np.abs(first)), worst_of(np.abs(second))
 
 
@@ -213,9 +223,8 @@ def difference_equation_residual(p: float, N: int) -> float:
     ends carry zero coefficient.  Each residual is scaled by the largest
     term entering it, so the number is meaningful at any N.
     """
-    _check_pn(p, N)
+    table = _lattice(p, N).table  # normalization in n drops out of the x-equation
     q = 1.0 - p
-    table = ktilde_table(p, N)  # normalization in n drops out of the x-equation
     kn = np.pad(table, ((0, 0), (1, 1)))  # kn[n, x + 1] = kt_n(x), zero off the lattice
     x = np.arange(N + 1, dtype=float)
     n = x[:, None]  # the degree runs over the same range 0..N
@@ -287,30 +296,18 @@ def ladder_commutator_residual(p: float, N: int) -> float:
 # grid side
 
 
-def grid(p: float, N: int) -> np.ndarray:
-    """Physical grid xi_j = h (j - pN), h = sqrt(2 N p (1-p)), j = 0..N."""
-    _check_pn(p, N)
-    h = np.sqrt(2.0 * N * p * (1.0 - p))
-    return h * (np.arange(N + 1, dtype=float) - p * N)
-
-
 def grid_functions(p: float, N: int) -> np.ndarray:
     """Wave-function table Psi[n, j] = (-1)^n sqrt(rho(j)) kt_n(j).
 
     The rows are the grid-side eigenvectors; the matrix is real orthogonal
     (rows and columns are two dual orthonormal systems).
     """
-    _check_pn(p, N)
-    x = np.arange(N + 1, dtype=float)
-    rho = weight_rho(x, p, N)
-    table = ktilde_table(p, N)
-    signs = (-1.0) ** np.arange(N + 1)
-    return signs[:, None] * np.sqrt(rho)[None, :] * table
+    return _lattice(p, N).psi.copy()
 
 
 def grid_orthogonality_residuals(p: float, N: int) -> tuple[float, float]:
     """Row and column orthonormality defects of the Psi table."""
-    psi = grid_functions(p, N)
+    psi = _lattice(p, N).psi
     eye = np.eye(N + 1)
     return worst_of(np.abs(psi @ psi.T - eye)), worst_of(np.abs(psi.T @ psi - eye))
 
@@ -364,8 +361,8 @@ def grid_factorization_residual(p: float, N: int) -> float:
 
 def grid_ladder_action_residual(p: float, N: int) -> float:
     """Defect of A_plus Psi_n = sqrt((n+1)(N-n)) Psi_{n+1} (and the lowering mate)."""
+    psi = _lattice(p, N).psi
     a_plus, a_minus = grid_ladders(p, N)
-    psi = grid_functions(p, N)
     n = np.arange(N + 1, dtype=float)
     padded = np.pad(psi, ((1, 1), (0, 0)))  # zero rows at levels -1 and N+1
     want_up = np.sqrt((n + 1.0) * (N - n))[:, None] * padded[2:]
@@ -394,7 +391,11 @@ def polynomial_to_grid_map(p: float, N: int) -> np.ndarray:
     T comes in C order, so a BLAS product built on it (criterion 8's T'T)
     sums in one fixed order.
     """
-    return np.ascontiguousarray(grid_functions(p, N).T) * (-1.0) ** np.arange(N + 1)
+    return _intertwiner(_lattice(p, N).psi)
+
+
+def _intertwiner(psi: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(psi.T) * (-1.0) ** np.arange(len(psi))
 
 
 def transport_residual(p: float, N: int) -> float:
@@ -408,7 +409,7 @@ def transport_residual(p: float, N: int) -> float:
     T K = A T says T K T^{-1} = A only because T is orthogonal, which
     criterion 8 checks on its own.
     """
-    T = polynomial_to_grid_map(p, N)
+    T = _intertwiner(_lattice(p, N).psi)
     lower, raise_ = _lattice_ladders(p, N)
     k_plus, k_minus = ((-lo, d, -up) for lo, d, up in (raise_, lower))
     zero = np.zeros(N)
@@ -432,7 +433,7 @@ def hamiltonian_relation_residual(p: float, N: int) -> float:
     is diagonal, so the diag((-1)^n) between the two polynomial bases leaves
     it as it is.  The scalar shadow: N(n+1/2) - n^2 = -(n+1/2-1/2)^2 + N(n+1/2).
     """
-    T = polynomial_to_grid_map(p, N)
+    T = _intertwiner(_lattice(p, N).psi)
     h_grid = _grid_hamiltonian(p, N)
     lo, d, up = h_grid
     shift = (lo, d - 0.5, up)
@@ -470,8 +471,7 @@ def difference_form_residual(p: float, N: int) -> float:
     band, and (ii) their action on the kt_n lattice functions is the signed
     ladder action of the kt basis.
     """
-    x = np.arange(N + 1, dtype=float)
-    s = np.sqrt(weight_rho(x, p, N))
+    kt_table, _, s, _ = _lattice(p, N)  # table rows: degree n
     lowering, raising = _difference_forms(p, N)
     a_plus, a_minus = grid_ladders(p, N)
     defects = []
@@ -479,7 +479,6 @@ def difference_form_residual(p: float, N: int) -> float:
         # S^{-1} A S multiplies entry [i, j] by s_j / s_i
         conjugated = (lo * s[:-1] / s[1:], d, up * s[1:] / s[:-1])
         defects += [np.abs(f - c) for f, c in zip(form, conjugated)]
-    kt_table = ktilde_table(p, N)  # rows: degree n
     padded = np.pad(kt_table, ((1, 1), (0, 0)))  # zero rows at degrees -1 and N+1
     n = np.arange(N + 1, dtype=float)
     coef_dn = -np.sqrt(n * (N - n + 1.0))

@@ -431,9 +431,30 @@ for argv in (
     assert not scipy_modules(), (argv, scipy_modules())
 print("ok")
 """
-    src = str(Path(polyosc.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH")))))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, env=env, timeout=120)
+                         text=True, env=subprocess_env(), timeout=120)
     assert out.stdout.strip() == "ok", out.stderr
+
+
+def subprocess_env(**extra):
+    """The environment with this tree's package first on PYTHONPATH."""
+    src = str(Path(polyosc.__file__).resolve().parents[1])
+    return dict(os.environ, **extra, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+
+def test_krawtchouk_json_follows_blas_threads_only_in_the_grams():
+    # the README's exception: the two Gram products go through BLAS, every
+    # other field is summed in one fixed order whatever the thread count
+    argv = [sys.executable, "-m", "polyosc", "krawtchouk", "--p", "0.4123", "--N", "400",
+            "--format", "json"]
+    grams = ('"dual_orthogonality"', '"grid_orthogonality"')
+    kept = []
+    for threads in ("1", "2"):
+        out = subprocess.run(argv, capture_output=True, text=True, timeout=120,
+                             env=subprocess_env(OPENBLAS_NUM_THREADS=threads))
+        assert out.returncode == 0, out.stderr
+        lines = out.stdout.splitlines()
+        kept.append([line for line in lines if not line.strip().startswith(grams)])
+        assert len(kept[-1]) == len(lines) - 2
+    assert kept[0] == kept[1]

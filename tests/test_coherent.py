@@ -455,9 +455,16 @@ class TestResolutionMeasure:
     def test_lattice_resolves_every_level(self):
         # one row |C_l|^2 = 1 per level; unscaled rows against (2 b^2_{l-1})!
         # left this fit a relative misfit of 1
-        ch = krawtchouk.symmetric_chain(0.4123, 24)
-        t, w = construct_resolution_measure(ch)
-        assert np.max(resolution_residuals(ch, t, w)) <= 1e-12
+        for p, N in ((0.4123, 24), (0.3, 16)):
+            ch = krawtchouk.symmetric_chain(p, N)
+            t, w = construct_resolution_measure(ch)
+            assert np.max(resolution_residuals(ch, t, w)) <= 1e-12, (p, N)
+
+    @pytest.mark.parametrize("dim, misfit", [(3, "0.072"), (6, "0.41"), (12, "0.7")])
+    def test_boson_has_no_measure_and_raises(self, dim, misfit):
+        # the best nonnegative fit misses a level by 0.072 / 0.41 / 0.70
+        with pytest.raises(ArithmeticError, match="misses a level by %s " % misfit):
+            construct_resolution_measure(boson_chain(dim), dim=dim)
 
     def test_large_lattice_is_finite_without_warnings(self):
         ch = krawtchouk.symmetric_chain(0.4123, 400)

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,7 @@ from polyosc import RecurrenceCoefficients, build_symmetric_oscillator
 from polyosc import krawtchouk as kr
 from polyosc import polyrec
 from polyosc.polyrec import _band_apply, _band_dense, node_table
-from conftest import eval_orthonormal
+from conftest import eval_orthonormal, recurrence_chain
 
 P_SAMPLES = (0.2, 0.5, 0.8)
 
@@ -30,9 +31,15 @@ def krawtchouk_poly(n: int, x, p: float, N: int):
     return out if out.ndim else float(out)
 
 
+def norm_factor(n: int, p: float, N: int) -> float:
+    """c_n = sqrt(C(N, n) (p/q)^n) from the exact rational, rounded once, then sqrt."""
+    pf = Fraction(p)
+    return math.sqrt(math.comb(N, n) * (pf / (1 - pf)) ** n)
+
+
 def ktilde(n: int, x, p: float, N: int):
     """Orthonormalized lattice polynomial kt_n(x) by the hypergeometric sum (test oracle)."""
-    return kr._norm_factors(float(p), int(N))[n] * np.asarray(krawtchouk_poly(n, x, p, N))
+    return norm_factor(n, p, N) * np.asarray(krawtchouk_poly(n, x, p, N))
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +222,7 @@ class TestPolynomialTable:
 
     def test_table_matches_chain_recurrence(self):
         p, N = 0.3, 9
-        ch = kr.recurrence_chain(p, N)
+        ch = recurrence_chain(p, N)
         tab = kr.ktilde_table(p, N)
         xs = np.arange(N + 1, dtype=float)
         for n in (0, 1, 4, 9):
@@ -228,7 +235,7 @@ class TestPolynomialTable:
     def test_kernel_rows_match_hypergeometric_oracle(self, p, N):
         # every orthonormal row of the chain at once, against kt_n(x)
         xs = np.arange(N + 1, dtype=float)
-        rows = np.asarray(node_table(kr.recurrence_chain(p, N), N, xs, "orthonormal"), dtype=float)
+        rows = np.asarray(node_table(recurrence_chain(p, N), N, xs, "orthonormal"), dtype=float)
         ref = np.array([ktilde(n, xs, p, N) for n in range(N + 1)])
         den = np.maximum(1.0, np.abs(ref))
         assert np.max(np.abs(rows - ref) / den) < 1e-9
@@ -272,7 +279,7 @@ class TestPolynomialTable:
     def test_sign_flip_family(self):
         # (-1)^n kt_n is the orthonormal family of the chain with b_n > 0
         p, N = 0.4, 5
-        chain = kr.recurrence_chain(p, N)
+        chain = recurrence_chain(p, N)
         positive = RecurrenceCoefficients(b=-chain.b, a=chain.a)
         for n in range(N + 1):
             for x in (0, 2, 5):
@@ -292,6 +299,23 @@ class TestPolynomialTable:
         want = [float(math.comb(N, x) * pf**x * (1 - pf) ** (N - x)) for x in range(N + 1)]
         assert np.array_equal(kr.weight_rho(np.arange(N + 1), p, N), want)
 
+    @pytest.mark.parametrize("p, N", [(p, N) for p in (0.03, 0.3000001, 0.4123457, 0.97)
+                                      for N in (1, 24, 96, 400)]
+                             + [(0.3, 800), (0.1571072, 24), (0.032419, 96)])
+    def test_sqrt_weights_equal_rounded_exact_root(self, p, N):
+        # at (0.3, 800) rho(800) ~ 1e-418 underflows; its root ~1e-209 must
+        # not.  At (0.1571072, 24), x = 2, and (0.032419, 96), x = 45, the
+        # truncated 64-bit root alone rounds the wrong way: the bits below
+        # it decide
+        pf = Fraction(p)
+        want = []
+        for x in range(N + 1):
+            rho = math.comb(N, x) * pf**x * (1 - pf) ** (N - x)
+            k = 1200 + max(rho.denominator.bit_length() - rho.numerator.bit_length(), 0)
+            root = math.isqrt((rho.numerator << 2 * k) // rho.denominator)
+            want.append(float(Fraction(root, 1 << k)))
+        assert np.array_equal(kr._weights_cached(p, N)[1], want)
+
     @pytest.mark.parametrize("x", ([-1, 0.5, 13], -1, 13, 2.5, np.nan, np.inf, "3", [True]))
     def test_weights_reject_points_off_the_lattice(self, x):
         with pytest.raises(ValueError, match="integers in 0..12"):
@@ -308,11 +332,9 @@ class TestPolynomialTable:
     @pytest.mark.parametrize("N", (1, 24, 96))
     def test_norm_factors_are_the_tables(self, p, N):
         # K_n(0) = 1, so column 0 of the table is c_n itself
-        c = kr._norm_factors(p, N)
+        c = kr._lattice(p, N).c
         assert np.array_equal(c, kr.ktilde_table(p, N)[:, 0])
-        pf = Fraction(p)
-        want = [math.sqrt(math.comb(N, n) * (pf / (1 - pf)) ** n) for n in range(N + 1)]
-        assert np.array_equal(c, want)
+        assert np.array_equal(c, [norm_factor(n, p, N) for n in range(N + 1)])
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -321,15 +343,26 @@ class TestPolynomialTable:
             kr.ktilde_table(1.2, 4)
         with pytest.raises(ValueError):
             kr.ktilde_table(0.4, 0)
-        # a bool is no lattice size: True would build the N = 1 chain
+        # a bool is no lattice size: True would build the N = 1 chain, or be
+        # served the cached N = 1 record
+        kr.ktilde_table(0.3, 1)
         for flag in (True, np.True_):
             with pytest.raises(ValueError, match="positive integer"):
                 kr.symmetric_chain(0.3, flag)
+            with pytest.raises(ValueError, match="positive integer"):
+                kr.ktilde_table(0.3, flag)
 
     def test_table_copies_are_independent(self):
-        one = kr.ktilde_table(0.3, 4)
-        one[0, 0] = 77.0
-        assert kr.ktilde_table(0.3, 4)[0, 0] == 1.0
+        for accessor in (kr.ktilde_table, kr.grid_functions, kr.polynomial_to_grid_map):
+            want = accessor(0.3, 4)
+            one = accessor(0.3, 4)
+            one[0, 0] = 77.0
+            assert np.array_equal(accessor(0.3, 4), want), accessor
+        # the shared record cannot be written through
+        for name, array in kr._lattice(0.3, 4)._asdict().items():
+            assert not array.flags.writeable, name
+            with pytest.raises(ValueError):
+                array[0] = 77.0
 
 
 class TestOrthogonality:
@@ -357,14 +390,16 @@ class TestOrthogonality:
         assert kr.difference_equation_residual(p, N) == loop_difference_equation_residual(p, N)
 
     def test_non_finite_table_fails(self, monkeypatch):
-        real = kr.ktilde_table
+        real = kr._lattice
 
         def poisoned(p, N):
-            out = real(p, N)
-            out[3, 2] = np.nan
-            return out
+            # the record's table, and psi = (-1)^n sqrt(rho) kt built from it
+            lat = real(p, N)
+            table, psi = lat.table.copy(), lat.psi.copy()
+            table[3, 2] = psi[3, 2] = np.nan
+            return lat._replace(table=table, psi=psi)
 
-        monkeypatch.setattr(kr, "ktilde_table", poisoned)
+        monkeypatch.setattr(kr, "_lattice", poisoned)
         assert kr.dual_orthogonality_residuals(0.3, 8) == (np.inf, np.inf)
         assert kr.grid_orthogonality_residuals(0.3, 8) == (np.inf, np.inf)
         assert kr.difference_equation_residual(0.3, 8) == np.inf
@@ -491,12 +526,20 @@ class TestSpectrumDeviations:
         assert np.array_equal(kr.grid_spectrum_deviation(p, N), want)
 
 
+def grid(p: float, N: int) -> np.ndarray:
+    """Physical grid xi_j = h (j - pN), h = sqrt(2 N p (1-p)), j = 0..N."""
+    h = np.sqrt(2.0 * N * p * (1.0 - p))
+    return h * (np.arange(N + 1, dtype=float) - p * N)
+
+
 class TestGridSide:
     def test_grid_geometry(self):
+        # spacing h, centred on the binomial mean: sum_j rho(j) xi_j = 0
         p, N = 0.25, 8
-        xi = kr.grid(p, N)
+        xi = grid(p, N)
         h = np.sqrt(2.0 * N * p * (1 - p))
-        assert np.allclose(xi, h * (np.arange(N + 1) - p * N))
+        assert np.allclose(np.diff(xi), h)
+        assert abs(kr.weight_rho(np.arange(N + 1), p, N) @ xi) < 1e-12
 
     def test_grid_spectrum_is_half_integers(self):
         for p in P_SAMPLES:
@@ -571,6 +614,17 @@ class TestIntertwiner:
     def test_difference_forms(self):
         for p in P_SAMPLES:
             assert kr.difference_form_residual(p, 14) < 1e-10
+
+    def test_battery_where_rho_underflows(self):
+        # rho(800) = 0.3^800 ~ 1e-418 is 0 in float64; sqrt(rho) ~ 1e-209 is
+        # not, and it carries psi, T, the Grams and the difference forms
+        from polyosc.cli import _krawtchouk_point
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            row = _krawtchouk_point(0.3, 800, 1e-8)
+        assert row["pass"], row
+        assert row["worst_residual"] < 1e-9
 
     def test_difference_forms_large_table(self):
         # p far from 1/2 at N = 30 pushes table entries to ~1e11; the

@@ -15,7 +15,7 @@ from polyosc import (
 )
 from polyosc import gaussian_moment_chain, hermite_chain, krawtchouk, krawtchouk_chain, polyrec
 from polyosc.polyrec import node_table
-from conftest import eval_orthonormal, random_truncated_chain
+from conftest import eval_orthonormal, random_truncated_chain, recurrence_chain
 
 
 def monic_tilde_coefficients(chain, n: int) -> np.ndarray:
@@ -69,7 +69,7 @@ class TestChainValidation:
     @pytest.mark.parametrize("chain", [
         boson_chain(7),
         krawtchouk_chain(0.3, 6),
-        krawtchouk.recurrence_chain(0.3, 6),
+        recurrence_chain(0.3, 6),
         hermite_chain(5),
         gaussian_moment_chain(4),
     ])
@@ -388,7 +388,7 @@ class TestQuadrature:
 
     @pytest.mark.parametrize("chain", [
         boson_chain(5),
-        krawtchouk.recurrence_chain(0.3, 5),
+        recurrence_chain(0.3, 5),
         RecurrenceCoefficients(b=[1.0, 0.5], a=[0.37, -1.2]),
         RecurrenceCoefficients(b=[0.0]),
     ])
@@ -491,8 +491,6 @@ class TestRuleCache:
 
     @pytest.mark.parametrize("N", [1, 7, 40])
     def test_recurrence_chain_diagonal(self, N):
-        from polyosc.krawtchouk import recurrence_chain
-
         chain = recurrence_chain(0.3, N)
         # b < 0 takes the eigenvector fallback, which is not cached ...
         before = polyrec._polished_rule.cache_info().currsize
