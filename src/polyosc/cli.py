@@ -211,16 +211,15 @@ def cmd_coherent(args):
 
 
 def _krawtchouk_point(p, N, tol):
-    d1, d2 = kr.dual_orthogonality_residuals(p, N)
-    g1, g2 = kr.grid_orthogonality_residuals(p, N)
+    grams = worst_of(*kr.grid_orthogonality_residuals(p, N))
     res = {
         "p": p,
         "N": N,
         "spectrum_deviation": kr.lattice_spectrum_deviation(p, N),
         "grid_spectrum_deviation": kr.grid_spectrum_deviation(p, N),
         "ladder_commutator": kr.ladder_commutator_residual(p, N),
-        "dual_orthogonality": worst_of(d1, d2),
-        "grid_orthogonality": worst_of(g1, g2),
+        "dual_orthogonality": grams,
+        "grid_orthogonality": grams,
         "difference_equation": kr.difference_equation_residual(p, N),
         "grid_factorization": kr.grid_factorization_residual(p, N),
         "grid_ladder_action": kr.grid_ladder_action_residual(p, N),

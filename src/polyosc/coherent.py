@@ -50,8 +50,8 @@ from .polyrec import (
 from .fockspace import build_symmetric_oscillator
 
 # The series route raises once eps * sum |terms| passes the package's default
-# tolerance (also criterion 4's norm bound), the resolution fit once a level
-# misses 1 by more; a row below _SERIES_QUIET of the running amplitudes is small.
+# tolerance (criterion 4's norm bound), the other routes once eps |z| max|x| does,
+# the resolution fit once a level misses 1 by more; a series row below _SERIES_QUIET is small.
 _ERROR_LIMIT = 1e-8
 _SERIES_QUIET = 1e-15
 # (-i)^l for l mod 4, exact
@@ -75,6 +75,14 @@ def _finite_displacement(z):
     """Every coherent route's entry check: a NaN or infinite z raises."""
     if not np.isfinite(z):
         raise ValueError("displacement z must be finite, got %r" % (z,))
+
+
+def _resolvable(z, turn: float, route: str) -> None:
+    """Refuse once the phases |z| x_k err by eps * turn > _ERROR_LIMIT, turn = |z| max|x|."""
+    bound = np.finfo(float).eps * turn
+    if not bound <= _ERROR_LIMIT:
+        raise ArithmeticError("%s route cannot resolve |z| = %g: eps * |z| * max|x| = "
+                              "%.2e exceeds %g" % (route, abs(z), bound, _ERROR_LIMIT))
 
 
 def _rule(b: np.ndarray, N: int):
@@ -109,13 +117,15 @@ def coherent_via_exponential(chain, z: complex, dim: int | None = None) -> np.nd
 
     The exponent G = z a_plus - conj(z) a_minus is anti-Hermitian, so
     exp(G) = V exp(-i w) V^dagger with (w, V) the eigensystem of iG; the
-    result has unit norm to machine precision by construction.
+    result has unit norm to machine precision by construction.  The w are
+    |z| x_k, so past eps * max|w| = _ERROR_LIMIT it raises ArithmeticError.
     """
     _finite_displacement(z)
     b, N = _truncation(chain, dim)
     ops = build_symmetric_oscillator(RecurrenceCoefficients(b=b), dim=N + 1)
     G = z * ops.raise_ - np.conj(z) * ops.lower
     w, V = np.linalg.eigh(1j * G)
+    _resolvable(z, np.max(np.abs(w)), "exponential")
     phases = np.exp(-1j * w)
     return V @ (phases * V.conj().T[:, 0])
 
@@ -215,7 +225,8 @@ def coherent_closed_form(chain, z: complex, dim: int | None = None) -> np.ndarra
 
     C_l = (-i z/|z|)^l sum_k w_k psi_l(y_k) exp(i |z| sqrt(2) y_k) over the
     Newton-polished Gauss rule (y_k, w_k).  No factorial enters the sum, so
-    none overflows.  At z = 0 the state is the vacuum.
+    none overflows.  At z = 0 the state is the vacuum; past
+    eps * |z| sqrt(2) max|y_k| = _ERROR_LIMIT it raises ArithmeticError.
     """
     _finite_displacement(z)
     b, N = _truncation(chain, dim)
@@ -223,7 +234,9 @@ def coherent_closed_form(chain, z: complex, dim: int | None = None) -> np.ndarra
         out = np.zeros(N + 1, dtype=complex)
         out[0] = 1.0
         return out
-    amp = _profile_sums(_rule(b, N), [abs(z)])[:, 0]
+    rule = _rule(b, N)
+    _resolvable(z, abs(z) * np.sqrt(2.0) * float(np.max(np.abs(rule[0]))), "closed-form")
+    amp = _profile_sums(rule, [abs(z)])[:, 0]
     return _phase_powers(z, N) * _MINUS_I_POWERS[np.arange(N + 1) % 4] * amp
 
 

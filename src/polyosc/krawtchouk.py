@@ -23,9 +23,9 @@ d[j] = M[j, j], up[j] = M[j, j+1].  Every operator identity is checked
 through one shifted-row kernel, polyrec._band_apply, which forms M @ Y
 without BLAS in O(N^2) for an (N+1)-square Y: a commutator [A, B] is A
 applied to dense(B) minus B applied to dense(A), and a right product Y @ M
-applies the reversed (transposed) band to Y^T.  The only dense matrix
-products left are the two Gram checks of the tables
-(dual_orthogonality_residuals and grid_orthogonality_residuals).
+applies the reversed (transposed) band to Y^T.  No BLAS product is left:
+the dual orthogonality of kt_n is the Gram pair Psi Psi^T, Psi^T Psi, each
+one np.einsum sum in one fixed order (grid_orthogonality_residuals).
 """
 
 from __future__ import annotations
@@ -149,7 +149,7 @@ def _ktilde_table(p: float, N: int) -> np.ndarray:
     not symmetric.  int / int true division is correctly rounded, and so
     is float() of a Fraction, so every entry is bit-identical to the full
     recurrence run in Fraction arithmetic and carries ~1 ulp of relative
-    error.
+    error.  A K_n(x) or c_n^2 past the float range raises OverflowError.
     """
     m, D = p.as_integer_ratio()
     r = D - m
@@ -159,25 +159,35 @@ def _ktilde_table(p: float, N: int) -> np.ndarray:
     d = 1
     table = np.empty((N + 1, N + 1))
     for n in range(N + 1):
-        table[n, n:] = (cur / d).astype(float)
+        table[n, n:] = _quotient(cur, d, p, N, "K_%d(x)" % n).astype(float)
         table[n, :n] = table[:n, n]  # K_n(x) = K_x(n), already rounded
         if n < N:
             up, low = m * (N - n), n * r * m * (N - n + 1)
             prev, cur = cur[1:], (up + n * r - Dx[n + 1 :]) * cur[1:] - low * prev[1:]
             d *= up
-    table *= np.array([math.sqrt(math.comb(N, n) * m**n / r**n) for n in range(N + 1)])[:, None]
+    c2 = (_quotient(math.comb(N, n) * m**n, r**n, p, N, "the squared norm factor c_%d^2" % n)
+          for n in range(N + 1))
+    table *= np.array([math.sqrt(v) for v in c2])[:, None]
     return table
 
 
-_Lattice = namedtuple("_Lattice", "table c sqrt_rho psi")
+def _quotient(num, den, p: float, N: int, quantity: str):
+    try:
+        return num / den
+    except OverflowError:
+        raise OverflowError("exact Krawtchouk table at p = %r, N = %d: %s is too large "
+                            "for a float" % (p, N, quantity)) from None
+
+
+_Lattice = namedtuple("_Lattice", "table sqrt_rho psi")
 
 
 # typed, so a bool N is checked, not served N = 1's record; 32 records: ~330 MB at N = 800
 @lru_cache(maxsize=32, typed=True)
 def _lattice(p: float, N: int) -> _Lattice:
     """The read-only arrays every lattice check shares, built once per
-    (p, N): table[n, x] = kt_n(x), the norm factors c, sqrt_rho and the
-    wave functions psi[n, j] = (-1)^n sqrt(rho(j)) kt_n(j)."""
+    (p, N): table[n, x] = kt_n(x), sqrt_rho and the wave functions
+    psi[n, j] = (-1)^n sqrt(rho(j)) kt_n(j)."""
     _check_pn(p, N)
     p, N = float(p), int(N)
     table = _ktilde_table(p, N)
@@ -185,34 +195,12 @@ def _lattice(p: float, N: int) -> _Lattice:
     psi = (-1.0) ** np.arange(N + 1)[:, None] * sqrt_rho[None, :] * table
     for array in (table, psi):
         array.setflags(write=False)
-    return _Lattice(table, table[:, 0], sqrt_rho, psi)  # c_n = kt_n(0), as K_n(0) = 1
+    return _Lattice(table, sqrt_rho, psi)
 
 
 def ktilde_table(p: float, N: int) -> np.ndarray:
     """Table kt[n, x] for n, x = 0..N, entries accurate to ~1 ulp."""
     return _lattice(p, N).table.copy()
-
-
-def dual_orthogonality_residuals(p: float, N: int) -> tuple[float, float]:
-    """Max deviation of the two dual orthogonality relations of kt_n.
-
-    First: sum_x rho(x) kt_m(x) kt_n(x) = delta_mn (orthonormality in the
-    degree index).  Second, the dual lattice relation with the roles of
-    degree and argument swapped: sum_n rho(n) kt_x(n) kt_y(n) = delta_xy,
-    where kt_x(n) carries the normalization of its *degree* index x.  The
-    two differ numerically as the row versus column Gram of the same table.
-    """
-    table, c, s, _ = _lattice(p, N)
-    plain = table / c[:, None]  # plain[n, x] = K_n(x)
-    eye = np.eye(N + 1)
-    # sqrt(rho) goes into both factors of each Gram, as (s K)(s K)^T: rho
-    # alone underflows where sqrt(rho) times K is still O(1)
-    cols = plain * s
-    first = c[:, None] * (cols @ cols.T) * c[None, :] - eye
-    # kt_x(n) = c_x K_x(n) = c_x K_n(x) by self-duality: contract over rows
-    rows = s[:, None] * plain
-    second = c[:, None] * (rows.T @ rows) * c[None, :] - eye
-    return worst_of(np.abs(first)), worst_of(np.abs(second))
 
 
 def difference_equation_residual(p: float, N: int) -> float:
@@ -306,10 +294,17 @@ def grid_functions(p: float, N: int) -> np.ndarray:
 
 
 def grid_orthogonality_residuals(p: float, N: int) -> tuple[float, float]:
-    """Row and column orthonormality defects of the Psi table."""
+    """Defects of Psi Psi^T and Psi^T Psi from 1: the two dual orthogonality
+    relations of kt_n.  (Psi Psi^T)_mn = +-sum_x rho(x) kt_m(x) kt_n(x);
+    (Psi^T Psi)_xy = sum_n rho(n) kt_x(n) kt_y(n), degree and argument
+    swapped (kt_x(n) = c_x K_n(x) by self-duality, rho(n) / c_n^2 = q^N).
+    Each Gram is one np.einsum sum, in one fixed order and without BLAS.
+    """
     psi = _lattice(p, N).psi
     eye = np.eye(N + 1)
-    return worst_of(np.abs(psi @ psi.T - eye)), worst_of(np.abs(psi.T @ psi - eye))
+    rows = np.einsum("nx,mx->nm", psi, psi)
+    cols = np.einsum("nx,ny->xy", psi, psi)
+    return worst_of(np.abs(rows - eye)), worst_of(np.abs(cols - eye))
 
 
 def _alpha(j, N: int):
@@ -387,15 +382,8 @@ def polynomial_to_grid_map(p: float, N: int) -> np.ndarray:
 
         T K_pm T^{-1} = A_pm,   T K_0 T^{-1} = H_grid - (N+1)/2,
         T^{-1} H_grid T = diag(n + 1/2).
-
-    T comes in C order, so a BLAS product built on it (criterion 8's T'T)
-    sums in one fixed order.
     """
-    return _intertwiner(_lattice(p, N).psi)
-
-
-def _intertwiner(psi: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(psi.T) * (-1.0) ** np.arange(len(psi))
+    return _lattice(p, N).psi.T * (-1.0) ** np.arange(N + 1)
 
 
 def transport_residual(p: float, N: int) -> float:
@@ -409,7 +397,7 @@ def transport_residual(p: float, N: int) -> float:
     T K = A T says T K T^{-1} = A only because T is orthogonal, which
     criterion 8 checks on its own.
     """
-    T = _intertwiner(_lattice(p, N).psi)
+    T = polynomial_to_grid_map(p, N)
     lower, raise_ = _lattice_ladders(p, N)
     k_plus, k_minus = ((-lo, d, -up) for lo, d, up in (raise_, lower))
     zero = np.zeros(N)
@@ -433,7 +421,7 @@ def hamiltonian_relation_residual(p: float, N: int) -> float:
     is diagonal, so the diag((-1)^n) between the two polynomial bases leaves
     it as it is.  The scalar shadow: N(n+1/2) - n^2 = -(n+1/2-1/2)^2 + N(n+1/2).
     """
-    T = _intertwiner(_lattice(p, N).psi)
+    T = polynomial_to_grid_map(p, N)
     h_grid = _grid_hamiltonian(p, N)
     lo, d, up = h_grid
     shift = (lo, d - 0.5, up)
@@ -471,7 +459,7 @@ def difference_form_residual(p: float, N: int) -> float:
     band, and (ii) their action on the kt_n lattice functions is the signed
     ladder action of the kt basis.
     """
-    kt_table, _, s, _ = _lattice(p, N)  # table rows: degree n
+    kt_table, s, _ = _lattice(p, N)  # table rows: degree n
     lowering, raising = _difference_forms(p, N)
     a_plus, a_minus = grid_ladders(p, N)
     defects = []

@@ -268,6 +268,25 @@ class TestClosedFormAtScale:
         assert np.max(np.abs(got - coherent_via_exponential(boson_chain(3), z, dim=3))) < 1e-15
 
 
+class TestLargeDisplacement:
+    # The phases |z| x_k carry an absolute rounding error of about
+    # eps |z| max|x|: 8.6e-9 at |z| = 1e7 for p = 0.3, N = 6, 8.6e-7 at 1e9.
+    # Past 1e-8 the exponential and the closed form refuse, as the series does.
+    CHAIN = krawtchouk.symmetric_chain(0.3, 6)
+
+    @pytest.mark.parametrize("route", (coherent_via_exponential, coherent_closed_form))
+    @pytest.mark.parametrize("r", (1e9, 1e12))
+    def test_unresolvable_displacement_raises(self, route, r):
+        with pytest.raises(ArithmeticError, match="exceeds 1e-08"):
+            route(self.CHAIN, r * np.exp(0.3j))
+
+    @pytest.mark.parametrize("r", (1e5, 1e7))
+    def test_routes_agree_below_the_limit(self, r):
+        z = r * np.exp(0.3j)
+        got = coherent_closed_form(self.CHAIN, z)
+        assert np.max(np.abs(got - coherent_via_exponential(self.CHAIN, z))) <= 1e-8
+
+
 class TestPhase:
     # Both routes turn a state of |z| by e^{i theta l}.  As a complex power
     # (e^{i theta})^l that factor would drift off the unit circle by about

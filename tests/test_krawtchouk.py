@@ -332,7 +332,7 @@ class TestPolynomialTable:
     @pytest.mark.parametrize("N", (1, 24, 96))
     def test_norm_factors_are_the_tables(self, p, N):
         # K_n(0) = 1, so column 0 of the table is c_n itself
-        c = kr._lattice(p, N).c
+        c = kr._lattice(p, N).table[:, 0]
         assert np.array_equal(c, kr.ktilde_table(p, N)[:, 0])
         assert np.array_equal(c, [norm_factor(n, p, N) for n in range(N + 1)])
 
@@ -366,18 +366,36 @@ class TestPolynomialTable:
 
 
 class TestOrthogonality:
+    # Psi's row Gram is the orthonormality of kt_n in the degree, its column
+    # Gram the dual relation with degree and argument swapped
     @pytest.mark.parametrize("p", P_SAMPLES)
-    @pytest.mark.parametrize("N", (1, 6, 18, 30))
+    @pytest.mark.parametrize("N", (1, 6, 18, 25, 30))
     def test_dual_pairs(self, p, N):
-        r1, r2 = kr.dual_orthogonality_residuals(p, N)
-        assert r1 < 1e-11
-        assert r2 < 1e-11
+        rows, cols = kr.grid_orthogonality_residuals(p, N)
+        assert rows < 1e-11
+        assert cols < 1e-11
 
-    @pytest.mark.parametrize("p", P_SAMPLES)
-    def test_grid_pairs(self, p):
-        g1, g2 = kr.grid_orthogonality_residuals(p, 25)
-        assert g1 < 1e-11
-        assert g2 < 1e-11
+    @pytest.mark.parametrize("p", (0.03, 0.4123457, 0.8))
+    def test_column_gram_is_the_dual_relation(self, p):
+        # sum_n rho(n) kt_x(n) kt_y(n) with kt_x(n) = c_x K_n(x) (self-duality),
+        # the sum exact in rationals, is (Psi^T Psi)_xy: rho(n) / c_n^2 = q^N
+        N, P = 16, Fraction(p)
+
+        def plain(n, x):  # K_n(x), krawtchouk_poly's sum in exact rationals
+            total = term = Fraction(1)
+            for k in range(n):
+                term = term * (k - n) * (k - x) / ((k + 1) * (k - N) * P)
+                total += term
+            return total
+
+        K = [[plain(n, x) for x in range(N + 1)] for n in range(N + 1)]
+        rho = [math.comb(N, n) * P**n * (1 - P) ** (N - n) for n in range(N + 1)]
+        dual = np.array([[float(sum(rho[n] * K[n][x] * K[n][y] for n in range(N + 1)))
+                          for y in range(N + 1)] for x in range(N + 1)])
+        c = np.array([norm_factor(n, p, N) for n in range(N + 1)])
+        psi = kr.grid_functions(p, N)
+        gram = np.einsum("nx,ny->xy", psi, psi)
+        assert np.max(np.abs(c[:, None] * dual * c[None, :] - gram)) < 1e-14
 
     def test_difference_equation(self):
         for p in P_SAMPLES:
@@ -400,11 +418,47 @@ class TestOrthogonality:
             return lat._replace(table=table, psi=psi)
 
         monkeypatch.setattr(kr, "_lattice", poisoned)
-        assert kr.dual_orthogonality_residuals(0.3, 8) == (np.inf, np.inf)
         assert kr.grid_orthogonality_residuals(0.3, 8) == (np.inf, np.inf)
         assert kr.difference_equation_residual(0.3, 8) == np.inf
         assert kr.grid_ladder_action_residual(0.3, 8) == np.inf
         assert kr.difference_form_residual(0.3, 8) == np.inf
+
+    def test_perturbed_psi_fails_the_gram_pair(self, monkeypatch):
+        from polyosc.acceptance import criterion_7
+        from polyosc.cli import _krawtchouk_point
+
+        real = kr._lattice
+
+        def bumped(delta):
+            def lattice(p, N):
+                # one entry of the record's psi, at its largest magnitude
+                lat = real(p, N)
+                psi = lat.psi.copy()
+                psi[np.unravel_index(np.argmax(np.abs(psi)), psi.shape)] += delta
+                return lat._replace(psi=psi)
+            return lattice
+
+        keys = ("dual_orthogonality", "grid_orthogonality")
+        monkeypatch.setattr(kr, "_lattice", bumped(1e-6))
+        row = _krawtchouk_point(0.3, 8, 1e-8)
+        assert all(row[k] >= 1e-7 for k in keys), row
+        assert not criterion_7().passed
+        monkeypatch.setattr(kr, "_lattice", bumped(np.nan))
+        row = _krawtchouk_point(0.3, 8, 1e-8)
+        assert all(row[k] == np.inf for k in keys), row
+
+
+class TestTableRange:
+    # the exact table rounds each K_n(x) and c_n^2 to float once; past the
+    # float range it names the quantity instead of Python's bare message
+    @pytest.mark.parametrize("p, N, quantity", [
+        (0.999, 150, "the squared norm factor c_89^2"),
+        (0.03, 400, "K_205(x)"),
+    ])
+    def test_overflow_names_the_quantity(self, p, N, quantity):
+        with pytest.raises(OverflowError) as err:
+            kr.ktilde_table(p, N)
+        assert "p = %r, N = %d: %s is too large" % (p, N, quantity) in str(err.value)
 
 
 class TestLatticeOscillator:
@@ -588,7 +642,6 @@ class TestIntertwiner:
         D = np.diag((-1.0) ** np.arange(N + 1))
         T = kr.polynomial_to_grid_map(p, N)
         assert np.array_equal(T, kr.grid_functions(p, N).T @ D)
-        assert T.flags.c_contiguous
 
     def test_nan_ladder_fails_transport(self, monkeypatch):
         from polyosc.acceptance import criterion_8
