@@ -167,8 +167,9 @@ def criterion_6() -> CriterionResult:
 def criterion_7() -> CriterionResult:
     """Dual orthogonality of kt_n as Psi's Gram pair (rows, columns), N up to 30."""
     worst = 0.0
-    for p in (0.2, 0.5, 0.8):
-        for N in range(1, 31):
+    # N descending: the 32 records kr._lattice keeps are criterion 8's first reads
+    for N in range(30, 0, -1):
+        for p in (0.2, 0.5, 0.8):
             worst = worst_of(worst, *kr.grid_orthogonality_residuals(p, N))
     return CriterionResult(
         7, "dual and grid orthogonality as one Gram pair of Psi, N<=30",
@@ -178,11 +179,10 @@ def criterion_7() -> CriterionResult:
 
 def criterion_8() -> CriterionResult:
     """Intertwiner: unitarity, ladder transport, Hamiltonian relation."""
-    worst_u = 0.0
-    worst_t = 0.0
-    worst_h = 0.0
-    for p in (0.2, 0.5, 0.8):
-        for N in range(1, 21):
+    worst_u = worst_t = worst_h = 0.0
+    # criterion 7's visits in reverse: its last records are read first, as hits
+    for N in range(1, 21):
+        for p in (0.8, 0.5, 0.2):
             # T'T - 1 is Psi Psi' - 1 up to the signs diag((-1)^n)
             worst_u = worst_of(worst_u, kr.grid_orthogonality_residuals(p, N)[0])
             worst_t = worst_of(worst_t, kr.transport_residual(p, N))

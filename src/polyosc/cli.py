@@ -79,9 +79,7 @@ def _fmt(value):
         return float(value)  # .item() keeps extended precision types alive
     if isinstance(value, np.integer):
         return int(value)
-    if isinstance(value, complex):
-        return {"re": value.real, "im": value.imag}
-    if isinstance(value, np.complexfloating):
+    if isinstance(value, (complex, np.complexfloating)):
         return {"re": float(value.real), "im": float(value.imag)}
     if isinstance(value, np.ndarray):
         return [_fmt(v) for v in value.tolist()]
@@ -141,10 +139,7 @@ def _text_report(payload: dict, indent: str = "") -> str:
 
 
 def _chain_from_args(args):
-    p = getattr(args, "p", None)
-    N = getattr(args, "N", None)
-    depth = getattr(args, "depth", None)
-    return resolve_chain(args.chain, p=p, N=N, depth=depth)
+    return resolve_chain(args.chain, p=args.p, N=args.N, depth=args.depth)
 
 
 def _dim_from_args(args, chain):

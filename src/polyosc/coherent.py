@@ -41,6 +41,7 @@ import numpy as np
 from . import polyrec
 from .polyrec import (
     RecurrenceCoefficients,
+    _band_apply,
     as_chain,
     eval_monic_tilde,
     gauss_quadrature,
@@ -139,13 +140,11 @@ def transfer_coefficients(chain, nmax: int, dim: int | None = None) -> np.ndarra
     |l> in G^n |0> is d[n, l] (sqrt(2) b_{l-1})! z^{(n+l)/2} (-conj z)^{(n-l)/2}.
     """
     b, N = _truncation(chain, dim)
-    tb2 = 2.0 * b**2
+    step = (np.ones(N), np.zeros(N + 1), 2.0 * b[:N] ** 2)  # the band of d[n-1] -> d[n]
     d = np.zeros((nmax + 1, N + 1))
     d[0, 0] = 1.0
     for n in range(1, nmax + 1):
-        prev = d[n - 1]
-        d[n, 1 : N + 1] += prev[0:N]
-        d[n, 0 : N] += tb2[0:N] * prev[1 : N + 1]
+        d[n] = _band_apply(step, d[n - 1, :, None])[:, 0]
     return d
 
 
@@ -185,22 +184,16 @@ def coherent_via_recurrence(
     """
     _finite_displacement(z)
     b, N = _truncation(chain, dim)
-    if z == 0:
-        out = np.zeros(N + 1, dtype=complex)
-        out[0] = 1.0
-        return out
     r = abs(z)
     sub = np.sqrt(2.0) * b[:N]  # A[l+1, l]
+    A = (sub, np.zeros(N + 1), -sub)
     f = np.zeros(N + 1)
     f[0] = 1.0
     acc = f.copy()
     mass = f.copy()
     quiet = 0
     for n in range(1, max_terms + 1):
-        nxt = np.zeros(N + 1)
-        nxt[1:] = sub * f[:-1]
-        nxt[:-1] -= sub * f[1:]
-        f = (r / n) * nxt
+        f = (r / n) * _band_apply(A, f[:, None])[:, 0]
         acc += f
         mass += np.abs(f)
         bound = np.finfo(float).eps * np.max(mass)

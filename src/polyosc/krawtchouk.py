@@ -14,10 +14,10 @@ and cross-mapped:
 The unitary map between the two sides (polynomial_to_grid_map) transports
 ladders onto ladders and diagonalizes the grid Hamiltonian.
 
-One cached record per (p, N), _lattice, holds the exact kt table, its norm
-factors, sqrt(rho) and Psi, read-only; every check and accessor reads it.
-sqrt(rho) is its exact value rounded once, so Psi stays finite and
-orthogonal where rho itself underflows.  Every operator on either side is
+One cached record per (p, N), _lattice, holds the exact kt table, sqrt(rho)
+and Psi, read-only; every check and accessor reads it.  sqrt(rho) and the
+norm factors c_n are exact roots rounded once (_rounded_root), so Psi stays
+finite and orthogonal where rho underflows or c_n^2 overflows.  Every operator on either side is
 tridiagonal, and each is kept as its band (lo, d, up): lo[j] = M[j+1, j],
 d[j] = M[j, j], up[j] = M[j, j+1].  Every operator identity is checked
 through one shifted-row kernel, polyrec._band_apply, which forms M @ Y
@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from contextlib import contextmanager
 from functools import lru_cache
 
 import numpy as np
@@ -53,37 +54,36 @@ def _check_pn(p: float, N: int):
         raise ValueError("N must be a positive integer, got %r" % N)
 
 
+def _rounded_root(num: int, den: int) -> float:
+    """sqrt(num / den) of positive ints, the exact root rounded once: isqrt of
+    the quotient cut to ~128 bits at an even power of two has ~64, and a
+    remainder of either sets its last bit, so float() rounds as the exact root
+    would (ldexp: exact unless subnormal, OverflowError past the float range)."""
+    e = num.bit_length() - den.bit_length() - 128
+    e -= e % 2
+    top, rest = divmod(num, den << e) if e >= 0 else divmod(num << -e, den)
+    root = math.isqrt(top)
+    return math.ldexp(float(root | (rest != 0 or root * root != top)), e // 2)
+
+
 @lru_cache(maxsize=64)
 def _weights_cached(p: float, N: int) -> tuple[np.ndarray, np.ndarray]:
     """(rho(x), sqrt(rho(x))), x = 0..N, each exact value rounded once.
 
-    With p = m/D exactly (D a power of two, D^N = 2^K) and r = D - m,
-    rho(x) = C(N, x) m^x r^(N-x) / D^N; each numerator, from running integer
-    products, is divided by D^N once (int / int true division rounds
-    correctly and underflows to 0).  sqrt(rho) stays in range where rho
-    does not (0.3^800 ~ 1e-418 is 0 in float64, its root is not): isqrt of
-    the numerator's top ~128 bits, cut at an even power of two, has ~64 bits,
-    and a remainder or cut bit sets its last bit, so float() rounds as it
-    would the exact root (ldexp scales exactly unless the result is subnormal).
+    With p = m/D exactly (D a power of two) and r = D - m,
+    rho(x) = C(N, x) m^x r^(N-x) / D^N; each integer numerator is divided by
+    D^N once (int / int true division rounds correctly and underflows to 0).
+    sqrt(rho) is _rounded_root of the same quotient, so it stays in range
+    where rho does not (0.3^800 ~ 1e-418 is 0 in float64, its root is not).
     """
     m, D = p.as_integer_ratio()
     r = D - m
-    m_pow, r_pow = [1], [1]
-    for _ in range(N):
-        m_pow.append(m_pow[-1] * m)
-        r_pow.append(r_pow[-1] * r)
-    denom = D**N
-    K = denom.bit_length() - 1
+    denom, num = D**N, r**N  # num = C(N, x) m^x r^(N-x), stepped exactly in x
     rho, sqrt_rho = np.empty(N + 1), np.empty(N + 1)
     for x in range(N + 1):
-        num = math.comb(N, x) * m_pow[x] * r_pow[N - x]
         rho[x] = num / denom
-        e = num.bit_length() - 128
-        e -= (e - K) % 2  # sqrt(num / 2^K) = sqrt(num / 2^e) 2^((e - K) / 2)
-        top = num >> e if e >= 0 else num << -e
-        root = math.isqrt(top)
-        inexact = root * root != top or (e > 0 and top << e != num)
-        sqrt_rho[x] = math.ldexp(float(root | inexact), (e - K) // 2)
+        sqrt_rho[x] = _rounded_root(num, denom)
+        num = num * (N - x) * m // ((x + 1) * r)
     rho.setflags(write=False)
     sqrt_rho.setflags(write=False)
     return rho, sqrt_rho
@@ -145,11 +145,12 @@ def _ktilde_table(p: float, N: int) -> np.ndarray:
     ~N^3/6 digit operations.  Row n of the plain table is A_n(x) / d_n for
     x >= n and the mirrored column K_x(n) for x < n, the same rational.
     Only then is row n scaled by c_n = sqrt(C(N,n) m^n / r^n), the
-    orthonormalizing factor sqrt(C(N,n) (p/q)^n); kt_n(x) = c_n K_n(x) is
-    not symmetric.  int / int true division is correctly rounded, and so
-    is float() of a Fraction, so every entry is bit-identical to the full
-    recurrence run in Fraction arithmetic and carries ~1 ulp of relative
-    error.  A K_n(x) or c_n^2 past the float range raises OverflowError.
+    orthonormalizing factor sqrt(C(N,n) (p/q)^n) as its exact root rounded
+    once (_rounded_root, as for sqrt(rho)); kt_n(x) = c_n K_n(x) is not
+    symmetric.  int / int true division rounds correctly, as float() of a
+    Fraction does, so every K_n(x) equals the full Fraction recurrence's and
+    every entry carries ~1 ulp.  A K_n(x), c_n or kt_n(x) past the float
+    range raises OverflowError naming it.
     """
     m, D = p.as_integer_ratio()
     r = D - m
@@ -157,26 +158,33 @@ def _ktilde_table(p: float, N: int) -> np.ndarray:
     prev = np.zeros(N + 1, dtype=object)  # A_{n-1}(x), x = n..N
     cur = np.ones(N + 1, dtype=object)  # A_n(x), x = n..N
     d = 1
-    table = np.empty((N + 1, N + 1))
-    for n in range(N + 1):
-        table[n, n:] = _quotient(cur, d, p, N, "K_%d(x)" % n).astype(float)
-        table[n, :n] = table[:n, n]  # K_n(x) = K_x(n), already rounded
-        if n < N:
-            up, low = m * (N - n), n * r * m * (N - n + 1)
-            prev, cur = cur[1:], (up + n * r - Dx[n + 1 :]) * cur[1:] - low * prev[1:]
-            d *= up
-    c2 = (_quotient(math.comb(N, n) * m**n, r**n, p, N, "the squared norm factor c_%d^2" % n)
-          for n in range(N + 1))
-    table *= np.array([math.sqrt(v) for v in c2])[:, None]
+    table, c = np.empty((N + 1, N + 1)), np.empty(N + 1)
+    with _float_range(p, N, lambda: "K_%d(x)" % n):
+        for n in range(N + 1):
+            table[n, n:] = (cur / d).astype(float)
+            table[n, :n] = table[:n, n]  # K_n(x) = K_x(n), already rounded
+            if n < N:
+                up, low = m * (N - n), n * r * m * (N - n + 1)
+                prev, cur = cur[1:], (up + n * r - Dx[n + 1 :]) * cur[1:] - low * prev[1:]
+                d *= up
+    with _float_range(p, N, lambda: "the norm factor c_%d" % n):
+        for n in range(N + 1):
+            c[n] = _rounded_root(math.comb(N, n) * m**n, r**n)
+    with _float_range(p, N, lambda: "a table entry kt_n(x) = c_n K_n(x)"):
+        table *= c[:, None]  # after the loop: the mirror reads unscaled rows
     return table
 
 
-def _quotient(num, den, p: float, N: int, quantity: str):
+@contextmanager
+def _float_range(p: float, N: int, quantity):
+    """Name p, N and quantity() when an int division or numpy overflows (a
+    callable, so that it reads a loop index as the error is raised)."""
     try:
-        return num / den
-    except OverflowError:
-        raise OverflowError("exact Krawtchouk table at p = %r, N = %d: %s is too large "
-                            "for a float" % (p, N, quantity)) from None
+        with np.errstate(over="raise"):
+            yield
+    except (OverflowError, FloatingPointError):
+        raise OverflowError("Krawtchouk lattice at p = %r, N = %d: %s is too large "
+                            "for a float" % (p, N, quantity())) from None
 
 
 _Lattice = namedtuple("_Lattice", "table sqrt_rho psi")
@@ -209,21 +217,23 @@ def difference_equation_residual(p: float, N: int) -> float:
     -n y(x) = p(N-x) y(x+1) - [p(N-x) + x(1-p)] y(x) + x(1-p) y(x-1)
     for y = kt_n, all n, x in 0..N; the x-1 and x+1 terms at the lattice
     ends carry zero coefficient.  Each residual is scaled by the largest
-    term entering it, so the number is meaningful at any N.
+    term entering it, so the number is meaningful at any N.  A term or sum
+    past the float range raises OverflowError.
     """
     table = _lattice(p, N).table  # normalization in n drops out of the x-equation
     q = 1.0 - p
     kn = np.pad(table, ((0, 0), (1, 1)))  # kn[n, x + 1] = kt_n(x), zero off the lattice
     x = np.arange(N + 1, dtype=float)
     n = x[:, None]  # the degree runs over the same range 0..N
-    terms = (
-        p * (N - x) * kn[:, 2:],
-        -(p * (N - x) + x * q) * kn[:, 1:-1],
-        x * q * kn[:, :-2],
-        n * kn[:, 1:-1],
-    )
-    scale = np.maximum(1.0, np.max(np.abs(terms), axis=0))
-    return worst_of(np.abs(((terms[0] + terms[1]) + terms[2]) + terms[3]) / scale)
+    with _float_range(p, N, lambda: "a difference-equation term"):
+        terms = (
+            p * (N - x) * kn[:, 2:],
+            -(p * (N - x) + x * q) * kn[:, 1:-1],
+            x * q * kn[:, :-2],
+            n * kn[:, 1:-1],
+        )
+        scale = np.maximum(1.0, np.max(np.abs(terms), axis=0))
+        return worst_of(np.abs(((terms[0] + terms[1]) + terms[2]) + terms[3]) / scale)
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +467,8 @@ def difference_form_residual(p: float, N: int) -> float:
 
     Verifies (i) they equal the sqrt(rho)-conjugated grid ladders, band by
     band, and (ii) their action on the kt_n lattice functions is the signed
-    ladder action of the kt basis.
+    ladder action of the kt basis; a term of (ii) past the float range
+    raises OverflowError.
     """
     kt_table, s, _ = _lattice(p, N)  # table rows: degree n
     lowering, raising = _difference_forms(p, N)
@@ -475,9 +486,10 @@ def difference_form_residual(p: float, N: int) -> float:
     # defect is measured relative to the largest summand feeding each entry;
     # row k of (M @ kt_table.T).T is M applied to kt_k
     for form, coef, shift in ((lowering, coef_dn, -1), (raising, coef_up, +1)):
-        want = coef[:, None] * padded[1 + shift : N + 2 + shift]
-        got = _band_apply(form, kt_table.T).T
-        size = _band_apply(tuple(np.abs(b) for b in form), np.abs(kt_table).T).T
-        scale = np.maximum(1.0, np.maximum(size, np.abs(want)))
-        defects.append(np.abs(got - want) / scale)
+        with _float_range(p, N, lambda: "a difference-form term"):
+            want = coef[:, None] * padded[1 + shift : N + 2 + shift]
+            got = _band_apply(form, kt_table.T).T
+            size = _band_apply(tuple(np.abs(b) for b in form), np.abs(kt_table).T).T
+            scale = np.maximum(1.0, np.maximum(size, np.abs(want)))
+            defects.append(np.abs(got - want) / scale)
     return worst_of(*defects)

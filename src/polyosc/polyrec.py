@@ -36,7 +36,7 @@ superdiagonal; _band_apply multiplies it into a matrix as shifted rows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -52,7 +52,7 @@ class ChainError(ValueError):
     """Invalid recurrence data (wrong shape, interior zero, NaN/inf, complex entries)."""
 
 
-@dataclass
+@dataclass(eq=False)  # compared by identity: array fields have no one truth value
 class RecurrenceCoefficients:
     """A recurrence chain: off-diagonal b_n and optional diagonal a_n.
 
@@ -68,7 +68,7 @@ class RecurrenceCoefficients:
 
     b: np.ndarray
     a: np.ndarray | None = None
-    label: str = field(default="", compare=False)
+    label: str = ""
 
     def __post_init__(self):
         self.b = np.atleast_1d(np.asarray(self.b, dtype=float))

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import polyosc.coherent as co
-from polyosc.acceptance import ALL_CRITERIA, criterion_4, worst_of
+from polyosc import krawtchouk as kr
+from polyosc.acceptance import ALL_CRITERIA, criterion_4, criterion_7, criterion_8, worst_of
 
 
 @pytest.mark.parametrize("criterion", ALL_CRITERIA, ids=[f.__name__ for f in ALL_CRITERIA])
@@ -39,3 +40,14 @@ def test_nan_closed_form_fails_criterion_4(monkeypatch):
     result = criterion_4()
     assert not result.passed
     assert result.measured == math.inf
+
+
+def test_criterion_8_reads_criterion_7s_last_records():
+    # criterion 8 visits 60 (p, N) points and kr._lattice keeps 32 records:
+    # the 32 criterion 7 left are all hits, so 28 records are built
+    kr._lattice.cache_clear()
+    criterion_7()
+    before = kr._lattice.cache_info()
+    criterion_8()
+    after = kr._lattice.cache_info()
+    assert after.misses - before.misses == 28

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -135,10 +136,19 @@ class TestKrawtchoukSpectra:
         assert json.loads(out)["hamiltonian_relation"] < 1e-9
 
     def test_table_past_the_float_range_names_the_cause(self, capsys):
-        rc, out, err = run(capsys, ["krawtchouk", "--p", "0.999", "--N", "150"])
+        rc, out, err = run(capsys, ["krawtchouk", "--p", "0.999", "--N", "210"])
         assert rc == 1
         assert out == ""
-        assert "p = 0.999, N = 150: the squared norm factor c_89^2 is too large" in err
+        assert "p = 0.999, N = 210: the norm factor c_201 is too large" in err
+
+    def test_residual_past_the_float_range_names_the_cause(self, capsys):
+        # the table is finite, a difference-equation term is not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, out, err = run(capsys, ["krawtchouk", "--p", "0.999", "--N", "205"])
+        assert rc == 1
+        assert out == ""
+        assert "p = 0.999, N = 205: a difference-equation term is too large" in err
 
     def test_off_diagonal_lattice_hamiltonian_fails(self, capsys, monkeypatch):
         real = OscillatorOperators.hamiltonian.fget

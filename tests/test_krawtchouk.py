@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -31,10 +32,18 @@ def krawtchouk_poly(n: int, x, p: float, N: int):
     return out if out.ndim else float(out)
 
 
+def exact_root(value: Fraction) -> float:
+    """sqrt(value) for a positive rational: the root truncated past 1200
+    fraction bits, then rounded once to float (test oracle)."""
+    k = 1200 + max(value.denominator.bit_length() - value.numerator.bit_length(), 0)
+    root = math.isqrt((value.numerator << 2 * k) // value.denominator)
+    return float(Fraction(root, 1 << k))
+
+
 def norm_factor(n: int, p: float, N: int) -> float:
-    """c_n = sqrt(C(N, n) (p/q)^n) from the exact rational, rounded once, then sqrt."""
+    """c_n = sqrt(C(N, n) (p/q)^n), the exact root rounded once."""
     pf = Fraction(p)
-    return math.sqrt(math.comb(N, n) * (pf / (1 - pf)) ** n)
+    return exact_root(math.comb(N, n) * (pf / (1 - pf)) ** n)
 
 
 def ktilde(n: int, x, p: float, N: int):
@@ -152,7 +161,7 @@ def fraction_table(p: float, N: int) -> np.ndarray:
         )
     table = np.zeros((N + 1, N + 1))
     for n in range(N + 1):
-        cn = math.sqrt(float(math.comb(N, n) * (pf / qf) ** n))
+        cn = exact_root(math.comb(N, n) * (pf / qf) ** n)
         table[n] = [cn * float(v) for v in rows[n]]
     return table
 
@@ -161,7 +170,7 @@ def full_recurrence_table(p: float, N: int) -> np.ndarray:
     """The kt table by the integer recurrence over every column (test oracle).
 
     The build before the self-dual mirror: every row runs A_n(x) for all
-    x = 0..N and scales it by c_n.
+    x = 0..N and scales it by c_n, the exact root rounded once.
     """
     m, D = p.as_integer_ratio()
     r = D - m
@@ -171,7 +180,7 @@ def full_recurrence_table(p: float, N: int) -> np.ndarray:
     d = 1
     table = np.empty((N + 1, N + 1))
     for n in range(N + 1):
-        cn = math.sqrt(math.comb(N, n) * m**n / r**n)
+        cn = exact_root(Fraction(math.comb(N, n) * m**n, r**n))
         table[n] = cn * (cur / d).astype(float)
         if n < N:
             up = m * (N - n)
@@ -254,10 +263,12 @@ class TestPolynomialTable:
         assert np.array_equal(kr.ktilde_table(p, N), full_recurrence_table(p, N))
 
     def test_extreme_p_overflows_like_full_recurrence(self):
+        # c_n^2 passes 1e308 from N = 148, c_n itself only from N = 206
+        assert np.array_equal(kr.ktilde_table(0.999, 150), full_recurrence_table(0.999, 150))
         with pytest.raises(OverflowError):
-            full_recurrence_table(0.999, 150)
-        with pytest.raises(OverflowError):
-            kr.ktilde_table(0.999, 150)
+            full_recurrence_table(0.999, 210)
+        with pytest.raises(OverflowError, match=r"N = 210: the norm factor c_\d+ is too large"):
+            kr.ktilde_table(0.999, 210)
 
     @pytest.mark.parametrize("p", (0.03, 0.97))
     def test_large_table_is_finite(self, p):
@@ -449,16 +460,56 @@ class TestOrthogonality:
 
 
 class TestTableRange:
-    # the exact table rounds each K_n(x) and c_n^2 to float once; past the
+    # the exact table rounds each K_n(x) and c_n to float once; past the
     # float range it names the quantity instead of Python's bare message
     @pytest.mark.parametrize("p, N, quantity", [
-        (0.999, 150, "the squared norm factor c_89^2"),
+        pytest.param(0.999, 210, "the norm factor c_201", id="0.999-210-c_201"),
         (0.03, 400, "K_205(x)"),
     ])
     def test_overflow_names_the_quantity(self, p, N, quantity):
         with pytest.raises(OverflowError) as err:
             kr.ktilde_table(p, N)
         assert "p = %r, N = %d: %s is too large" % (p, N, quantity) in str(err.value)
+
+    def test_entry_past_the_float_range_names_it(self, monkeypatch):
+        # kt_n(x) = c_n K_n(x) can leave the range with c_n and K_n(x) in it:
+        # |K_1(6)| = 7/3 at (0.3, 6), times a norm factor set to 1e308
+        monkeypatch.setattr(kr, "_rounded_root", lambda num, den: 1e308)
+        with pytest.raises(OverflowError, match=r"N = 6: a table entry kt_n\(x\) = c_n K_n\(x\)"):
+            kr._ktilde_table(0.3, 6)
+
+    @pytest.mark.parametrize("p, N", [(0.97, 400), (0.999, 150), (0.999, 200), (0.99756, 200)])
+    def test_points_past_the_squared_norm_factor_pass(self, p, N):
+        # c_n^2 passes 1e308 at each point, c_n and Psi stay in range
+        from polyosc.cli import _krawtchouk_point
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            row = _krawtchouk_point(p, N, 1e-8)
+        assert row["pass"], row
+        assert max(kr.grid_orthogonality_residuals(p, N)) <= 1e-14
+
+    def test_walk_to_the_float_edge_passes_or_names_the_quantity(self):
+        # past N = 203 at p = 0.999 a difference-equation term (kt_n(x) near
+        # 1e307 times p(N - x)), then c_n itself, leaves the float range:
+        # every point passes with finite residuals or raises a named refusal
+        from polyosc.cli import _krawtchouk_point
+
+        outcomes = {}
+        for N in range(145, 216, 5):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    row = _krawtchouk_point(0.999, N, 1e-8)
+                    assert row["pass"] and np.isfinite(row["worst_residual"]), row
+                    outcomes[N] = "pass"
+                except OverflowError as err:
+                    assert re.search(r"p = 0\.999, N = %d: .+ is too large for a float" % N,
+                                     str(err)), err
+                    outcomes[N] = str(err).split(": ", 1)[1]
+        assert outcomes[200] == "pass"
+        assert outcomes[205].startswith("a difference-equation term")
+        assert outcomes[210].startswith("the norm factor c_201")
 
 
 class TestLatticeOscillator:

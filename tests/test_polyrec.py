@@ -66,6 +66,13 @@ class TestChainValidation:
         with pytest.raises(TypeError):
             RecurrenceCoefficients(b=[1.0, 2.0], truncated=True)
 
+    def test_equality_does_not_raise(self):
+        # array fields have no one truth value: chains compare by identity
+        chain = boson_chain(3)
+        assert chain == chain
+        assert (boson_chain(3) == boson_chain(3)) is False
+        assert chain != boson_chain(3)
+
     @pytest.mark.parametrize("chain", [
         boson_chain(7),
         krawtchouk_chain(0.3, 6),
