@@ -167,9 +167,11 @@ def _ktilde_table(p: float, N: int) -> np.ndarray:
                 up, low = m * (N - n), n * r * m * (N - n + 1)
                 prev, cur = cur[1:], (up + n * r - Dx[n + 1 :]) * cur[1:] - low * prev[1:]
                 d *= up
+    num, den = 1, 1  # C(N, n) m^n and r^n, stepped exactly in n
     with _float_range(p, N, lambda: "the norm factor c_%d" % n):
         for n in range(N + 1):
-            c[n] = _rounded_root(math.comb(N, n) * m**n, r**n)
+            c[n] = _rounded_root(num, den)
+            num, den = num * (N - n) * m // (n + 1), den * r
     with _float_range(p, N, lambda: "a table entry kt_n(x) = c_n K_n(x)"):
         table *= c[:, None]  # after the loop: the mirror reads unscaled rows
     return table

@@ -1,13 +1,19 @@
 """Recover recurrence chains from moment sequences.
 
 For a symmetric probability measure with moments mu_0 = 1, mu_{2k+1} = 0,
-the Hankel matrix H[i, j] = mu_{i+j} factors as H = R^T R with R upper
-triangular, and the off-diagonal recurrence coefficients are the ratios of
-consecutive R diagonal entries (in the monic-tilde variable the same ratios
-give 2 b_k^2 directly; we work in the orthonormal variable).
+the monic orthogonal polynomials obey pi_{k+1} = x pi_k - beta_k pi_{k-1}.
+The Chebyshev algorithm (Gautschi, Orthogonal Polynomials: Computation and
+Approximation, 2004, section 2.1.7) runs that recurrence on the rows
+sigma_{k,l} = integral of pi_k x^l, starting from sigma_{0,l} = mu_l:
+
+    sigma_{k+1,l} = sigma_{k,l+1} - beta_k sigma_{k-1,l},
+    h_k = sigma_{k,k} = ||pi_k||^2,  beta_k = h_k / h_{k-1},
+
+in O(n^2) steps and no matrix.  The orthonormal off-diagonal coefficients
+are b_k = sqrt(h_{k+1} / h_k).
 
 Measures supported on m points only determine b_0..b_{m-2}; past that the
-Hankel matrix is singular.  That is a property of the data, not a failure,
+squared norm h_m vanishes.  That is a property of the data, not a failure,
 and is reported through SupportExhaustedError with the partial chain attached.
 """
 
@@ -18,8 +24,8 @@ import numpy as np
 from . import polyrec
 from .polyrec import RecurrenceCoefficients, as_chain, gauss_quadrature, node_table, worst_of
 
-# Pivot smaller than this fraction of the leading pivot means the measure's
-# support is exhausted at that depth.
+# A squared monic norm h_k at or below this fraction of h_0 = mu_0 means the
+# measure's support is exhausted at that depth.
 _PIVOT_RTOL = 1e-12
 
 
@@ -71,16 +77,6 @@ class MomentSequence:
             raise IndexError("moment mu_%d not available" % k)
         return float(self.even[k // 2])
 
-    def hankel(self, size: int) -> np.ndarray:
-        """The size x size Hankel matrix H[i, j] = mu_{i+j} (longdouble)."""
-        if size > len(self.even):
-            raise IndexError("moment mu_%d not available" % (2 * size - 2))
-        H = np.zeros((size, size), dtype=polyrec._LD)
-        for i in range(size):
-            for j in range(i % 2, size, 2):
-                H[i, j] = self.even[(i + j) // 2]
-        return H
-
     @classmethod
     def from_quadrature(cls, nodes, weights, count: int) -> "MomentSequence":
         """Even moments mu_0..mu_{2(count-1)} of a discrete measure."""
@@ -88,30 +84,6 @@ class MomentSequence:
         weights = np.asarray(weights, dtype=polyrec._LD)
         ev = [np.sum(weights * nodes ** (2 * k)) for k in range(count)]
         return cls(ev)
-
-
-def _cholesky_pivots(H: np.ndarray):
-    """Upper Cholesky factor of H, stopping at the first negligible pivot.
-
-    Returns (R, ncols) where the leading ncols columns of R are valid.  A
-    plain numpy.linalg.cholesky would raise on the (numerically) semidefinite
-    matrices that finite-support measures produce, and we need the partial
-    factor anyway, so this is rolled by hand.
-    """
-    n = H.shape[0]
-    R = np.zeros((n, n), dtype=polyrec._LD)
-    H = H.astype(polyrec._LD)
-    lead = None
-    for j in range(n):
-        s = H[j, j] - np.sum(R[:j, j] ** 2)
-        if lead is None:
-            lead = max(float(s), np.finfo(float).tiny)
-        if s <= _PIVOT_RTOL * lead:
-            return R, j
-        R[j, j] = np.sqrt(s)
-        for k in range(j + 1, n):
-            R[j, k] = (H[j, k] - np.sum(R[:j, j] * R[:j, k])) / R[j, j]
-    return R, n
 
 
 def coefficients_from_moments(moments, count: int) -> RecurrenceCoefficients:
@@ -127,27 +99,28 @@ def coefficients_from_moments(moments, count: int) -> RecurrenceCoefficients:
     Raises
     ------
     SupportExhaustedError
-        When the Hankel matrix goes singular before `count` coefficients are
+        When a squared norm h_{k+1} vanishes before `count` coefficients are
         found; carries the recovered prefix.
     """
     if not isinstance(moments, MomentSequence):
         moments = MomentSequence(moments)
     if count < 1:
         raise ValueError("count must be >= 1")
-    size = count + 1
-    if len(moments) < size:
-        raise ValueError("need %d even moments, have %d" % (size, len(moments)))
-    H = moments.hankel(size)
-    R, ncols = _cholesky_pivots(H)
-    # b_k = R[k+1, k+1] / R[k, k]: ratio of norms of consecutive monic
-    # orthogonal polynomials.
-    got = ncols - 1
-    b = np.array(
-        [R[k + 1, k + 1] / R[k, k] for k in range(min(count, got))], dtype=float
-    )
-    if got < count:
-        raise SupportExhaustedError(got, b)
-    return RecurrenceCoefficients(b=b)
+    if len(moments) < count + 1:
+        raise ValueError("need %d even moments, have %d" % (count + 1, len(moments)))
+    # rows sigma_{k-1} and sigma_k over l = 0..2 count - k (odd moments zero)
+    row = np.zeros(2 * count + 1, dtype=polyrec._LD)
+    row[::2] = moments.even[: count + 1]
+    prev = np.zeros_like(row)
+    h = np.empty(count + 1, dtype=polyrec._LD)
+    h[0] = row[0]
+    for k in range(count):
+        beta = h[k] / h[k - 1] if k else 0.0
+        prev, row = row, row[1:] - beta * prev[: len(row) - 1]
+        h[k + 1] = row[k + 1]
+        if h[k + 1] <= _PIVOT_RTOL * h[0]:
+            raise SupportExhaustedError(k, np.sqrt(h[1 : k + 1] / h[:k]))
+    return RecurrenceCoefficients(b=np.sqrt(h[1:] / h[:-1]).astype(float))
 
 
 def verify_canonical_orthogonality(chain, degree: int) -> float:

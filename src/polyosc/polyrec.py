@@ -321,12 +321,18 @@ def _polished_rule(diag_bytes: bytes, off_bytes: bytes, dtype):
     The key is the exact float64 bytes of the window, so two chains sharing
     the leading entries share the rule and a changed entry is a new key.
     dtype is the _LD the rule is polished in: it enters only the key, so a
-    rule polished in one extended dtype is never served in another.
+    rule polished in one extended dtype is never served in another.  A rule
+    whose polish left dtype's range raises ArithmeticError, so it is never
+    cached or returned.
     """
     diag = np.frombuffer(diag_bytes)
     off = np.frombuffer(off_bytes)
     vals = _eigh_tridiagonal(diag, off, eigvals_only=True)
-    y, w = _refined_gauss_rule(diag, off, vals)
+    with np.errstate(all="ignore"):  # a non-finite result is refused below
+        y, w = _refined_gauss_rule(diag, off, vals)
+    if not (np.all(np.isfinite(y)) and np.all(np.isfinite(w))):
+        raise ArithmeticError("the %d-point Gauss rule left the %s range in its "
+                              "Newton polish" % (len(diag), np.dtype(dtype).name))
     y.setflags(write=False)
     w.setflags(write=False)
     return y, w

@@ -16,6 +16,7 @@ from polyosc import (
     identity_residuals,
     krawtchouk,
     gauss_quadrature,
+    polyrec,
     profile_normalization,
     resolution_residuals,
     route_agreement,
@@ -256,6 +257,22 @@ class TestClosedFormAtScale:
         ov = abs(np.vdot(e, c)) / (np.linalg.norm(e) * np.linalg.norm(c))
         assert 1.0 - ov < 1e-7
         assert abs(np.linalg.norm(c) - 1.0) < 1e-8
+
+    @pytest.mark.parametrize("call", (
+        lambda: coherent_closed_form(boson_chain(400), 2.5, dim=400),
+        lambda: identity_residuals(boson_chain(400), dim=400),
+    ), ids=("closed_form", "identity_ledger"))
+    def test_rule_past_the_float64_range_is_named(self, monkeypatch, call):
+        # with longdouble as float64 (arm64 macOS, Windows) the Newton polish of
+        # the 400-point boson rule overflows: the rule refuses by name, with no
+        # warning, instead of a NaN rule failing the |z| guard or the ledger
+        monkeypatch.setattr(polyrec, "_LD", np.float64)
+        polyrec._polished_rule.cache_clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ArithmeticError,
+                               match="400-point Gauss rule left the float64 range"):
+                call()
 
     def test_subnormal_displacement(self):
         # the phase -i z/|z| must not come from a multiply by 1/|z|, which

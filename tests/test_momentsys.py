@@ -1,9 +1,13 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from polyosc import RecurrenceCoefficients, gauss_quadrature
+from polyosc import RecurrenceCoefficients, gauss_quadrature, polyrec
+from polyosc.krawtchouk import _rounded_root
 from polyosc.momentsys import (
     MomentSequence,
     SupportExhaustedError,
@@ -18,7 +22,7 @@ def two_point_even_moments(count: int) -> MomentSequence:
     """Even moments of (delta_{-1} + delta_{+1})/2: mu_{2k} = 1.
 
     The canonical finite-support example: exactly one coefficient (b_0 = 1)
-    is recoverable before the Hankel pivots collapse.
+    is recoverable before the squared monic norm h_2 vanishes.
     """
     return MomentSequence(np.ones(count))
 
@@ -42,6 +46,41 @@ def test_two_point_measure_exhausts_after_one_coefficient():
 def test_non_finite_moments_rejected(moments):
     with pytest.raises(ValueError, match="finite"):
         MomentSequence(moments)
+
+
+def _stieltjes_norms(nodes, weights, count):
+    """Exact squared monic norms h_0..h_count of a discrete symmetric measure
+    (Fractions), by the Stieltjes procedure on its nodes."""
+    prev, cur = [Fraction(0)] * len(nodes), [Fraction(1)] * len(nodes)
+    h = [sum(weights)]
+    for k in range(count):
+        beta = h[k] / h[k - 1] if k else 0
+        prev, cur = cur, [x * c - beta * q for x, c, q in zip(nodes, cur, prev)]
+        h.append(sum(w * c * c for w, c in zip(weights, cur)))
+    return h
+
+
+@pytest.mark.parametrize(
+    "half", [(1,), (0, 1), (1, 2), (0, 1, 2), (Fraction(1, 2), 1, 2)], ids=str
+)
+def test_finite_support_prefix_matches_exact_oracle(half):
+    # m symmetric nodes with binomial weights C(m-1, i)/2^(m-1): every moment
+    # is dyadic, so the float input is exact and only the algorithm rounds.
+    nodes = sorted({Fraction(s) * x for x in half for s in (1, -1)})
+    m = len(nodes)
+    weights = [Fraction(math.comb(m - 1, i), 2 ** (m - 1)) for i in range(m)]
+    even = [sum(w * x ** (2 * k) for w, x in zip(weights, nodes)) for k in range(m + 1)]
+    assert all(Fraction(float(v)) == v for v in even)
+    h = _stieltjes_norms(nodes, weights, m)
+    assert h[m] == 0 and all(v > 0 for v in h[:m])
+    want = np.array([_rounded_root(r.numerator, r.denominator)
+                     for r in (h[k + 1] / h[k] for k in range(m - 1))])
+    with pytest.raises(SupportExhaustedError) as exc:
+        coefficients_from_moments(MomentSequence([float(v) for v in even]), m)
+    assert exc.value.depth == m - 1
+    rel = np.abs(exc.value.partial - want) / want
+    # exact roots rounded once: equal under 80-bit longdouble
+    assert np.max(rel) <= 16 * np.finfo(polyrec._LD).eps
 
 
 def test_exhaustion_not_raised_when_enough():
@@ -80,8 +119,8 @@ def test_round_trip_property(bs):
 
 
 def test_leading_moment_anchors(rng):
-    # b_0^2 = mu_2 and b_1^2 = mu_4/mu_2 - mu_2, directly from the Hankel
-    # factorization at depth two.
+    # b_0^2 = mu_2 and b_1^2 = mu_4/mu_2 - mu_2, directly from the first two
+    # Chebyshev steps.
     b = rng.uniform(0.3, 2.0, 4)
     ch = RecurrenceCoefficients(b=b)
     nodes, w = gauss_quadrature(ch, 5)
@@ -106,18 +145,10 @@ class TestMomentSequence:
         with pytest.raises(ValueError):
             MomentSequence([])
 
-    def test_hankel_parity_pattern(self):
-        H = gaussian_even_moments(4).hankel(4)
-        got = np.asarray(H, dtype=float)
-        assert got[0, 1] == 0.0 and got[1, 2] == 0.0
-        assert got[0, 0] == 1.0 and got[1, 1] == 1.0 and got[2, 2] == 3.0
-
     def test_missing_moment_raises(self):
         mom = gaussian_even_moments(3)
         with pytest.raises(IndexError):
             mom.moment(6)
-        with pytest.raises(IndexError):
-            mom.hankel(4)
 
 
 def test_needs_enough_moments():
