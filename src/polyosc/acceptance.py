@@ -104,7 +104,7 @@ def _random_chain(rng, nmax: int) -> tuple[RecurrenceCoefficients, int]:
 def criterion_4() -> CriterionResult:
     """Exponential, series and closed-form coherent states agree pairwise."""
     rng = np.random.default_rng(20260815)
-    worst_overlap = 0.0  # deficit 1 - |<u|v>|
+    worst_overlap = worst_distance = 0.0  # deficit 1 - |<u|v>|, ||u - v||_max
     worst_norm = 0.0
     for _ in range(25):
         chain, _N = _random_chain(rng, 8)
@@ -117,12 +117,15 @@ def criterion_4() -> CriterionResult:
             "closed_form": co.coherent_closed_form(chain, z),
         })
         worst_overlap = worst_of(worst_overlap, agreement["worst_overlap_deficit"])
+        worst_distance = worst_of(worst_distance, agreement["worst_distance"])
         worst_norm = worst_of(worst_norm, agreement["worst_norm_deficit"])
-    ok = worst_overlap < 1e-7 and worst_norm < 1e-8
+    measured = worst_of(worst_overlap, worst_distance)
+    ok = measured < 1e-7 and worst_norm < 1e-8
     return CriterionResult(
         4, "three-way coherent-state agreement, 25 random (chain, z)",
-        worst_overlap, 1e-7, ok,
-        detail="worst norm defect %.1e (bound 1e-8)" % worst_norm,
+        measured, 1e-7, ok,
+        detail="overlap deficit %.1e, distance %.1e (bound 1e-7), worst norm defect "
+        "%.1e (bound 1e-8)" % (worst_overlap, worst_distance, worst_norm),
     )
 
 

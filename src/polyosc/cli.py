@@ -190,8 +190,8 @@ def cmd_coherent(args):
         "closed_form": co.coherent_closed_form(chain, z, dim=dim),
     }
     agreement = co.route_agreement(states)
-    ok = (agreement["worst_overlap_deficit"] <= args.tol
-          and agreement["worst_norm_deficit"] <= args.tol)
+    ok = all(agreement[k] <= args.tol for k in
+             ("worst_overlap_deficit", "worst_distance", "worst_norm_deficit"))
     payload = {
         "command": "coherent",
         "chain": chain.label or "custom",
@@ -228,6 +228,11 @@ def _krawtchouk_point(p, N, tol):
     return res
 
 
+# Largest sweep: each point builds and checks a lattice record, so a range
+# asking for more is refused (exit 2) before any point is made.
+MAX_SWEEP_POINTS = 1000
+
+
 def _parse_sweep(expr: str):
     # "p=0.1:0.9:0.2" -> ("p", [0.1, 0.3, 0.5, 0.7, 0.9])
     try:
@@ -242,7 +247,11 @@ def _parse_sweep(expr: str):
         raise ValueError("sweep %r: start, stop and step must be finite" % expr)
     if step <= 0:
         raise ValueError("sweep step must be positive")
-    count = int(np.floor((stop - start) / step + 1e-9)) + 1
+    steps = np.floor((stop - start) / step + 1e-9)  # inf for a subnormal step
+    if not steps < MAX_SWEEP_POINTS:
+        raise ValueError("sweep %r asks for %.4g points, more than the %d allowed"
+                         % (expr, steps + 1, MAX_SWEEP_POINTS))
+    count = int(steps) + 1
     if count < 1:
         raise ValueError("sweep %r yields no point (start above stop)" % expr)
     return var, [round(start + k * step, 12) for k in range(count)]

@@ -238,21 +238,26 @@ def route_agreement(states: dict) -> dict:
 
     states maps a route name to its amplitudes.  Returns, in this order,
     "norms" (||u|| per route), "overlaps" (|<u|v>| / (||u|| ||v||) per pair,
-    keyed "u|v" in the order of states), "worst_overlap_deficit" (the largest
-    1 - overlap) and "worst_norm_deficit" (the largest | ||u|| - 1 |); a NaN
-    or inf makes either worst value inf.
+    keyed "u|v" in the order of states), "distances" (||u - v||_max per
+    pair), "worst_overlap_deficit" (the largest 1 - overlap),
+    "worst_distance" and "worst_norm_deficit" (the largest | ||u|| - 1 |);
+    a NaN or inf makes every worst value inf.  An error e orthogonal to u
+    moves the overlap only by ~||e||^2 / 2, the distance by ~||e||.
     """
     norms = {name: float(np.linalg.norm(u)) for name, u in states.items()}
     names = list(states)
-    overlaps = {}
+    overlaps, distances = {}, {}
     for i, a in enumerate(names):
         for b in names[i + 1 :]:
             ov = abs(np.vdot(states[a], states[b])) / (norms[a] * norms[b])
             overlaps["%s|%s" % (a, b)] = float(ov)
+            distances["%s|%s" % (a, b)] = worst_of(np.abs(states[a] - states[b]))
     return {
         "norms": norms,
         "overlaps": overlaps,
+        "distances": distances,
         "worst_overlap_deficit": worst_of([1.0 - ov for ov in overlaps.values()]),
+        "worst_distance": worst_of(list(distances.values())),
         "worst_norm_deficit": worst_of([abs(n - 1.0) for n in norms.values()]),
     }
 

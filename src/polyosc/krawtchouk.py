@@ -14,25 +14,22 @@ and cross-mapped:
 The unitary map between the two sides (polynomial_to_grid_map) transports
 ladders onto ladders and diagonalizes the grid Hamiltonian.
 
-One cached record per (p, N), _lattice, holds the exact kt table, sqrt(rho)
-and Psi, read-only; every check and accessor reads it.  sqrt(rho) and the
-norm factors c_n are exact roots rounded once (_rounded_root), so Psi stays
-finite and orthogonal where rho underflows or c_n^2 overflows.  Every operator on either side is
-tridiagonal, and each is kept as its band (lo, d, up): lo[j] = M[j+1, j],
+One cached record per (p, N), _lattice, holds Psi, read-only; every check
+reads it.  Its factors K_n(x), c_n and sqrt(rho(x)) are each their exact
+value rounded once to a (mantissa, exponent) pair, so Psi (|Psi| <= 1) is
+finite wherever they, kt_n(x) or rho(x) leave the float range.  Every
+operator is tridiagonal and kept as its band (lo, d, up): lo[j] = M[j+1, j],
 d[j] = M[j, j], up[j] = M[j, j+1].  Every operator identity is checked
-through one shifted-row kernel, polyrec._band_apply, which forms M @ Y
-without BLAS in O(N^2) for an (N+1)-square Y: a commutator [A, B] is A
-applied to dense(B) minus B applied to dense(A), and a right product Y @ M
-applies the reversed (transposed) band to Y^T.  No BLAS product is left:
-the dual orthogonality of kt_n is the Gram pair Psi Psi^T, Psi^T Psi, each
-one np.einsum sum in one fixed order (grid_orthogonality_residuals).
+through one shifted-row kernel, polyrec._band_apply (M @ Y without BLAS,
+O(N^2) for an (N+1)-square Y): [A, B] is A applied to dense(B) minus B
+applied to dense(A), and Y @ M applies the reversed band to Y^T.  The dual
+orthogonality of kt_n is the Gram pair Psi Psi^T, Psi^T Psi, each one
+np.einsum sum in one fixed order (grid_orthogonality_residuals).
 """
 
 from __future__ import annotations
 
 import math
-from collections import namedtuple
-from contextlib import contextmanager
 from functools import lru_cache
 
 import numpy as np
@@ -54,39 +51,44 @@ def _check_pn(p: float, N: int):
         raise ValueError("N must be a positive integer, got %r" % N)
 
 
-def _rounded_root(num: int, den: int) -> float:
-    """sqrt(num / den) of positive ints, the exact root rounded once: isqrt of
-    the quotient cut to ~128 bits at an even power of two has ~64, and a
-    remainder of either sets its last bit, so float() rounds as the exact root
-    would (ldexp: exact unless subnormal, OverflowError past the float range)."""
+def _rounded_root(num: int, den: int) -> tuple[float, int]:
+    """sqrt(num / den) of positive ints as (mantissa in [1/2, 1), int exponent),
+    the exact root rounded once: isqrt of the quotient cut to ~128 bits at
+    an even power of two has ~64, and a remainder of either sets its last
+    bit, so float() rounds as the exact root would."""
     e = num.bit_length() - den.bit_length() - 128
     e -= e % 2
     top, rest = divmod(num, den << e) if e >= 0 else divmod(num << -e, den)
     root = math.isqrt(top)
-    return math.ldexp(float(root | (rest != 0 or root * root != top)), e // 2)
+    mant, expo = math.frexp(float(root | (rest != 0 or root * root != top)))
+    return mant, expo + e // 2
 
 
 @lru_cache(maxsize=64)
 def _weights_cached(p: float, N: int) -> tuple[np.ndarray, np.ndarray]:
-    """(rho(x), sqrt(rho(x))), x = 0..N, each exact value rounded once.
+    """rho(x), and rows (mantissa, exponent) of sqrt(rho(x)) and of c_x,
+    x = 0..N, each exact value rounded once.
 
-    With p = m/D exactly (D a power of two) and r = D - m,
-    rho(x) = C(N, x) m^x r^(N-x) / D^N; each integer numerator is divided by
-    D^N once (int / int true division rounds correctly and underflows to 0).
-    sqrt(rho) is _rounded_root of the same quotient, so it stays in range
-    where rho does not (0.3^800 ~ 1e-418 is 0 in float64, its root is not).
+    With p = m/D exactly (D a power of two) and r = D - m, the norm factor
+    c_x = sqrt(C(N,x) (p/q)^x) is the root of C(N,x) m^x / r^x and
+    rho(x) = C(N,x) m^x r^(N-x) / D^N: int / int true division rounds it,
+    and the split roots stay in range where rho underflows (0.3^800) and
+    where a float root would (0.001^400 ~ 1e-1200).
     """
     m, D = p.as_integer_ratio()
     r = D - m
-    denom, num = D**N, r**N  # num = C(N, x) m^x r^(N-x), stepped exactly in x
-    rho, sqrt_rho = np.empty(N + 1), np.empty(N + 1)
+    w, DN = r**N, D**N  # w = C(N, x) m^x r^(N-x), stepped exactly in x
+    num, den = 1, 1  # C(N, x) m^x and r^x
+    rho, roots = [], []
     for x in range(N + 1):
-        rho[x] = num / denom
-        sqrt_rho[x] = _rounded_root(num, denom)
-        num = num * (N - x) * m // ((x + 1) * r)
-    rho.setflags(write=False)
-    sqrt_rho.setflags(write=False)
-    return rho, sqrt_rho
+        rho.append(w / DN)
+        roots.append(_rounded_root(w, DN) + _rounded_root(num, den))
+        w = w * (N - x) * m // ((x + 1) * r)
+        num, den = num * (N - x) * m // (x + 1), den * r
+    rho, roots = np.array(rho), np.array(roots).T
+    for array in (rho, roots):
+        array.setflags(write=False)
+    return rho, roots
 
 
 def weight_rho(x, p: float, N: int):
@@ -118,39 +120,42 @@ def symmetric_chain(p: float, N: int) -> RecurrenceCoefficients:
     return RecurrenceCoefficients(b=b, label="krawtchouk-sym(p=%g,N=%d)" % (p, N))
 
 
-def _ktilde_table(p: float, N: int) -> np.ndarray:
-    """Exact-arithmetic kt table, rounded to float once per entry.
+def _split_quotients(num: np.ndarray, den: int) -> tuple[np.ndarray, np.ndarray]:
+    """(q, k), num / den = q 2^k for an object array of ints over a positive
+    int, each exact quotient rounded once: one past 2^(+-1000) is scaled
+    to ~1 by its power of two first, so none overflows or turns subnormal."""
+    bits, top = [*map(int.bit_length, num)], den.bit_length()
+    if -1000 < min(bits) - top and max(bits) - top < 1000:
+        return (num / den).astype(float), 0
+    k = [b - top if abs(b - top) >= 1000 else 0 for b in bits]
+    q = [a / (den << j) if j >= 0 else (a << -j) / den for a, j in zip(num, k)]
+    return np.array(q), np.array(k)
 
-    The three-term recurrence in the degree is *unstable* in floating
-    point on parts of the lattice: where kt_n(x) is tiny (near a root) the
-    wanted solution is dominated by the other branch and a forward pass can
-    lose every digit (observed: relative errors > 1e3 at N = 30).  A float
-    p is a rational m/D (D a power of two), so the recurrence of the plain
-    polynomials K_n, normalized by K_n(0) = 1,
+
+def _ktilde_split(p: float, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """kt_n(x) = c_n K_n(x) as (mantissa, exponent) arrays, n, x = 0..N.
+
+    A float degree recurrence loses every digit near the roots (N = 30).
+    A float p is m/D (D a power of two), so the recurrence of the plain
+    polynomials K_n, K_n(0) = 1,
 
         p (N-n) K_{n+1} = [p (N-n) + n (1-p) - x] K_n - n (1-p) K_{n-1},
 
-    runs exactly on Python ints once its denominators are cleared: with
-    r = D - m and K_n = A_n / d_n, d_n = m^n N!/(N-n)!,
+    runs exactly on Python ints: with r = D - m and K_n = A_n / d_n,
+    d_n = m^n N!/(N-n)!,
 
         A_{n+1} = [m (N-n) + n r - D x] A_n - n r m (N-n+1) A_{n-1},
 
-    from A_{-1} = 0, A_0 = 1.  No step divides or takes a gcd.
-
-    The plain polynomials are self-dual, K_n(x) = K_x(n): both equal
+    from A_{-1} = 0, A_0 = 1.  K is self-dual, K_n(x) = K_x(n) =
     2F1(-n, -x; -N; 1/p) (Koekoek, Lesky and Swarttouw, Hypergeometric
-    Orthogonal Polynomials, 9.11).  So the recurrence runs only on the
-    upper triangle x >= n: each degree step drops the column x = n, which
-    needs no higher degree, and the big-integer work falls from ~N^3/2 to
-    ~N^3/6 digit operations.  Row n of the plain table is A_n(x) / d_n for
-    x >= n and the mirrored column K_x(n) for x < n, the same rational.
-    Only then is row n scaled by c_n = sqrt(C(N,n) m^n / r^n), the
-    orthonormalizing factor sqrt(C(N,n) (p/q)^n) as its exact root rounded
-    once (_rounded_root, as for sqrt(rho)); kt_n(x) = c_n K_n(x) is not
-    symmetric.  int / int true division rounds correctly, as float() of a
-    Fraction does, so every K_n(x) equals the full Fraction recurrence's and
-    every entry carries ~1 ulp.  A K_n(x), c_n or kt_n(x) past the float
-    range raises OverflowError naming it.
+    Orthogonal Polynomials, 9.11), so the recurrence runs only on x >= n
+    (~N^3/6 digit operations, not ~N^3/2) and is mirrored below it.
+
+    K_n(x) (by _split_quotients) and c_n (see _weights_cached) are each
+    their exact value rounded once to a mantissa in [1/2, 1) and an int
+    exponent.  The mantissas are multiplied once: where K_n(x), c_n and
+    kt_n(x) are normal this rounds as fl(fl(K_n(x)) c_n), within 3 ulps of
+    the exact kt_n(x).
     """
     m, D = p.as_integer_ratio()
     r = D - m
@@ -158,84 +163,72 @@ def _ktilde_table(p: float, N: int) -> np.ndarray:
     prev = np.zeros(N + 1, dtype=object)  # A_{n-1}(x), x = n..N
     cur = np.ones(N + 1, dtype=object)  # A_n(x), x = n..N
     d = 1
-    table, c = np.empty((N + 1, N + 1)), np.empty(N + 1)
-    with _float_range(p, N, lambda: "K_%d(x)" % n):
-        for n in range(N + 1):
-            table[n, n:] = (cur / d).astype(float)
-            table[n, :n] = table[:n, n]  # K_n(x) = K_x(n), already rounded
-            if n < N:
-                up, low = m * (N - n), n * r * m * (N - n + 1)
-                prev, cur = cur[1:], (up + n * r - Dx[n + 1 :]) * cur[1:] - low * prev[1:]
-                d *= up
-    num, den = 1, 1  # C(N, n) m^n and r^n, stepped exactly in n
-    with _float_range(p, N, lambda: "the norm factor c_%d" % n):
-        for n in range(N + 1):
-            c[n] = _rounded_root(num, den)
-            num, den = num * (N - n) * m // (n + 1), den * r
-    with _float_range(p, N, lambda: "a table entry kt_n(x) = c_n K_n(x)"):
-        table *= c[:, None]  # after the loop: the mirror reads unscaled rows
-    return table
+    quot, shift = np.zeros((N + 1, N + 1)), np.zeros((N + 1, N + 1), dtype=np.int64)
+    for n in range(N + 1):
+        quot[n, n:], shift[n, n:] = _split_quotients(cur, d)
+        if n < N:
+            up, low = m * (N - n), n * r * m * (N - n + 1)
+            prev, cur = cur[1:], (up + n * r - Dx[n + 1 :]) * cur[1:] - low * prev[1:]
+            d *= up
+    quot += quot.T  # K_n(x) = K_x(n): the lower triangle is zero, so adding the
+    shift += shift.T  # transpose mirrors the upper one and doubles the diagonal
+    quot.flat[:: N + 2] *= 0.5
+    shift.flat[:: N + 2] //= 2
+    mant, expo = np.frexp(quot)
+    c_mant, c_expo = _weights_cached(p, N)[1][2:]
+    return mant * c_mant[:, None], expo + shift + c_expo.astype(np.int64)[:, None]
 
 
-@contextmanager
-def _float_range(p: float, N: int, quantity):
-    """Name p, N and quantity() when an int division or numpy overflows (a
-    callable, so that it reads a loop index as the error is raised)."""
-    try:
-        with np.errstate(over="raise"):
-            yield
-    except (OverflowError, FloatingPointError):
-        raise OverflowError("Krawtchouk lattice at p = %r, N = %d: %s is too large "
-                            "for a float" % (p, N, quantity())) from None
-
-
-_Lattice = namedtuple("_Lattice", "table sqrt_rho psi")
-
-
-# typed, so a bool N is checked, not served N = 1's record; 32 records: ~330 MB at N = 800
+# typed, so a bool N is checked, not served N = 1's record; 32 records: ~165 MB at N = 800
 @lru_cache(maxsize=32, typed=True)
-def _lattice(p: float, N: int) -> _Lattice:
-    """The read-only arrays every lattice check shares, built once per
-    (p, N): table[n, x] = kt_n(x), sqrt_rho and the wave functions
-    psi[n, j] = (-1)^n sqrt(rho(j)) kt_n(j)."""
+def _lattice(p: float, N: int) -> np.ndarray:
+    """The read-only psi[n, j] = (-1)^n sqrt(rho(j)) kt_n(j) every check
+    shares: the kt split times the sqrt(rho) split by one more product of
+    mantissas and one np.ldexp, within 4 ulps wherever it is normal."""
     _check_pn(p, N)
     p, N = float(p), int(N)
-    table = _ktilde_table(p, N)
-    sqrt_rho = _weights_cached(p, N)[1]
-    psi = (-1.0) ** np.arange(N + 1)[:, None] * sqrt_rho[None, :] * table
-    for array in (table, psi):
-        array.setflags(write=False)
-    return _Lattice(table, sqrt_rho, psi)
+    mant, expo = _ktilde_split(p, N)
+    root_mant, root_expo = _weights_cached(p, N)[1][:2]
+    sign = (-1.0) ** np.arange(N + 1)[:, None]
+    psi = np.ldexp(sign * mant * root_mant, expo + root_expo.astype(np.int64))
+    psi.setflags(write=False)
+    return psi
 
 
 def ktilde_table(p: float, N: int) -> np.ndarray:
-    """Table kt[n, x] for n, x = 0..N, entries accurate to ~1 ulp."""
-    return _lattice(p, N).table.copy()
+    """Table kt[n, x] = c_n K_n(x) for n, x = 0..N, each entry within 3 ulps
+    of its exact value (see _ktilde_split).  An entry past the float range
+    raises OverflowError naming its row."""
+    _check_pn(p, N)
+    p, N = float(p), int(N)
+    with np.errstate(over="ignore"):
+        table = np.ldexp(*_ktilde_split(p, N))
+    past = np.flatnonzero(np.isinf(table).any(axis=1))
+    if past.size:
+        raise OverflowError("Krawtchouk lattice at p = {!r}, N = {}: a table entry kt_{n}(x) = "
+                            "c_{n} K_{n}(x) is too large for a float".format(p, N, n=past[0]))
+    return table
 
 
 def difference_equation_residual(p: float, N: int) -> float:
     """Max relative residual of the lattice difference equation.
 
     -n y(x) = p(N-x) y(x+1) - [p(N-x) + x(1-p)] y(x) + x(1-p) y(x-1)
-    for y = kt_n, all n, x in 0..N; the x-1 and x+1 terms at the lattice
-    ends carry zero coefficient.  Each residual is scaled by the largest
-    term entering it, so the number is meaningful at any N.  A term or sum
-    past the float range raises OverflowError.
+    for y = kt_n, all n, x in 0..N, read on psi (|psi| <= 1): times
+    sqrt(rho(x)), both neighbour coefficients become the hop
+    sqrt(p(1-p)(N-x)(x+1)) between x and x+1, zero past the lattice ends.
+    Each residual is scaled by the largest term entering it.
     """
-    table = _lattice(p, N).table  # normalization in n drops out of the x-equation
-    q = 1.0 - p
-    kn = np.pad(table, ((0, 0), (1, 1)))  # kn[n, x + 1] = kt_n(x), zero off the lattice
+    psi = _lattice(p, N)  # the sign (-1)^n drops out of the x-equation
     x = np.arange(N + 1, dtype=float)
-    n = x[:, None]  # the degree runs over the same range 0..N
-    with _float_range(p, N, lambda: "a difference-equation term"):
-        terms = (
-            p * (N - x) * kn[:, 2:],
-            -(p * (N - x) + x * q) * kn[:, 1:-1],
-            x * q * kn[:, :-2],
-            n * kn[:, 1:-1],
-        )
-        scale = np.maximum(1.0, np.max(np.abs(terms), axis=0))
-        return worst_of(np.abs(((terms[0] + terms[1]) + terms[2]) + terms[3]) / scale)
+    hop = np.sqrt(p * (1.0 - p) * (N - x) * (x + 1.0))  # hop[N] = 0
+    padded = np.pad(psi, ((0, 0), (1, 1)))  # padded[n, x + 1] = psi[n, x], zero off the lattice
+    # the x-1 coefficient is hop[x - 1] (roll puts hop[N] = 0 at x = 0); the
+    # degree n runs over the same range 0..N as x
+    terms = (hop * padded[:, 2:], -(p * (N - x) + x * (1.0 - p)) * psi,
+             np.roll(hop, 1) * padded[:, :-2], x[:, None] * psi)
+    scale = np.maximum(1.0, np.max(np.abs(terms), axis=0))
+    return worst_of(np.abs(((terms[0] + terms[1]) + terms[2]) + terms[3]) / scale)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +295,7 @@ def grid_functions(p: float, N: int) -> np.ndarray:
     The rows are the grid-side eigenvectors; the matrix is real orthogonal
     (rows and columns are two dual orthonormal systems).
     """
-    return _lattice(p, N).psi.copy()
+    return _lattice(p, N).copy()
 
 
 def grid_orthogonality_residuals(p: float, N: int) -> tuple[float, float]:
@@ -312,7 +305,7 @@ def grid_orthogonality_residuals(p: float, N: int) -> tuple[float, float]:
     swapped (kt_x(n) = c_x K_n(x) by self-duality, rho(n) / c_n^2 = q^N).
     Each Gram is one np.einsum sum, in one fixed order and without BLAS.
     """
-    psi = _lattice(p, N).psi
+    psi = _lattice(p, N)
     eye = np.eye(N + 1)
     rows = np.einsum("nx,mx->nm", psi, psi)
     cols = np.einsum("nx,ny->xy", psi, psi)
@@ -366,14 +359,21 @@ def grid_factorization_residual(p: float, N: int) -> float:
     return worst_of(np.abs(_band_dense(_grid_hamiltonian(p, N)) - want))
 
 
-def grid_ladder_action_residual(p: float, N: int) -> float:
-    """Defect of A_plus Psi_n = sqrt((n+1)(N-n)) Psi_{n+1} (and the lowering mate)."""
-    psi = _lattice(p, N).psi
-    a_plus, a_minus = grid_ladders(p, N)
+def _ladder_images(psi: np.ndarray):
+    """Rows sqrt((n+1)(N-n)) Psi_{n+1} and sqrt(n(N-n+1)) Psi_{n-1}: what
+    raising and lowering Psi_n give."""
+    N = len(psi) - 1
     n = np.arange(N + 1, dtype=float)
     padded = np.pad(psi, ((1, 1), (0, 0)))  # zero rows at levels -1 and N+1
-    want_up = np.sqrt((n + 1.0) * (N - n))[:, None] * padded[2:]
-    want_dn = np.sqrt(n * (N - n + 1.0))[:, None] * padded[:-2]
+    return (np.sqrt((n + 1.0) * (N - n))[:, None] * padded[2:],
+            np.sqrt(n * (N - n + 1.0))[:, None] * padded[:-2])
+
+
+def grid_ladder_action_residual(p: float, N: int) -> float:
+    """Defect of A_plus Psi_n = sqrt((n+1)(N-n)) Psi_{n+1} (and the lowering mate)."""
+    psi = _lattice(p, N)
+    a_plus, a_minus = grid_ladders(p, N)
+    want_up, want_dn = _ladder_images(psi)
     # column k of M @ psi.T is M applied to Psi_k
     return worst_of(
         np.abs(_band_apply(a_plus, psi.T) - want_up.T),
@@ -395,7 +395,7 @@ def polynomial_to_grid_map(p: float, N: int) -> np.ndarray:
         T K_pm T^{-1} = A_pm,   T K_0 T^{-1} = H_grid - (N+1)/2,
         T^{-1} H_grid T = diag(n + 1/2).
     """
-    return _lattice(p, N).psi.T * (-1.0) ** np.arange(N + 1)
+    return _lattice(p, N).T * (-1.0) ** np.arange(N + 1)
 
 
 def transport_residual(p: float, N: int) -> float:
@@ -465,33 +465,32 @@ def _difference_forms(p: float, N: int):
 
 
 def difference_form_residual(p: float, N: int) -> float:
-    """Cross-check of the explicit difference forms.
+    """Cross-check of the explicit difference forms F.
 
     Verifies (i) they equal the sqrt(rho)-conjugated grid ladders, band by
-    band, and (ii) their action on the kt_n lattice functions is the signed
-    ladder action of the kt basis; a term of (ii) past the float range
-    raises OverflowError.
+    band, and (ii) conjugated back, S F S^{-1}, their action on the psi rows
+    is the kt basis's ladder action carried to psi = (-1)^n S kt.  Both read
+    s_{j+1} / s_j, s = sqrt(rho), in its closed form
+    sqrt((N-j) p / ((j+1)(1-p))), finite where rho underflows.
     """
-    kt_table, s, _ = _lattice(p, N)  # table rows: degree n
+    psi = _lattice(p, N)  # rows: degree n
     lowering, raising = _difference_forms(p, N)
     a_plus, a_minus = grid_ladders(p, N)
+    j = np.arange(N, dtype=float)
+    ratio = np.sqrt((N - j) * p / ((j + 1.0) * (1.0 - p)))
     defects = []
     for form, (lo, d, up) in ((lowering, a_minus), (raising, a_plus)):
         # S^{-1} A S multiplies entry [i, j] by s_j / s_i
-        conjugated = (lo * s[:-1] / s[1:], d, up * s[1:] / s[:-1])
+        conjugated = (lo / ratio, d, up * ratio)
         defects += [np.abs(f - c) for f, c in zip(form, conjugated)]
-    padded = np.pad(kt_table, ((1, 1), (0, 0)))  # zero rows at degrees -1 and N+1
-    n = np.arange(N + 1, dtype=float)
-    coef_dn = -np.sqrt(n * (N - n + 1.0))
-    coef_up = -np.sqrt((n + 1.0) * (N - n))
-    # table entries reach ~1e11 at (p, N) = (0.8, 30), so the ladder-action
-    # defect is measured relative to the largest summand feeding each entry;
-    # row k of (M @ kt_table.T).T is M applied to kt_k
-    for form, coef, shift in ((lowering, coef_dn, -1), (raising, coef_up, +1)):
-        with _float_range(p, N, lambda: "a difference-form term"):
-            want = coef[:, None] * padded[1 + shift : N + 2 + shift]
-            got = _band_apply(form, kt_table.T).T
-            size = _band_apply(tuple(np.abs(b) for b in form), np.abs(kt_table).T).T
-            scale = np.maximum(1.0, np.maximum(size, np.abs(want)))
-            defects.append(np.abs(got - want) / scale)
+    want_up, want_dn = _ladder_images(psi)
+    # the kt action -sqrt(n(N-n+1)) kt_{n-1} (and its raising mate) on psi:
+    # (-1)^n flips the sign.  The defect is relative to the largest summand
+    # feeding each entry; row k of (M @ psi.T).T is M applied to psi_k
+    for (lo, d, up), want in ((lowering, want_dn), (raising, want_up)):
+        band = (lo * ratio, d, up / ratio)  # S F S^{-1}: entry [i, j] times s_i / s_j
+        got = _band_apply(band, psi.T).T
+        size = _band_apply(tuple(np.abs(b) for b in band), np.abs(psi).T).T
+        scale = np.maximum(1.0, np.maximum(size, np.abs(want)))
+        defects.append(np.abs(got - want) / scale)
     return worst_of(*defects)

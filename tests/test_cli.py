@@ -10,7 +10,7 @@ import pytest
 
 import polyosc
 from polyosc import krawtchouk as kr
-from polyosc.cli import _krawtchouk_point, _parse_sweep, main
+from polyosc.cli import MAX_SWEEP_POINTS, _krawtchouk_point, _parse_sweep, main
 from polyosc.fockspace import OscillatorOperators, build_symmetric_oscillator
 from polyosc.polyrec import _band_dense
 
@@ -99,6 +99,23 @@ class TestDeterminism:
             with pytest.raises(ValueError, match="finite"):
                 _parse_sweep(bad)
 
+    @pytest.mark.parametrize("step, count", [("1e-12", "8e+11"), ("1e-320", "inf")])
+    def test_sweep_past_the_point_limit_is_a_usage_error(self, capsys, monkeypatch, step, count):
+        # refused before any point is made (8e11 points; a subnormal step
+        # makes the count inf, which used to exit 1 from int(inf))
+        monkeypatch.setattr("polyosc.cli._krawtchouk_point",
+                            lambda *args: pytest.fail("a sweep point was made"))
+        rc, out, err = run(capsys, ["krawtchouk", "--N", "5", "--sweep", "p=0.1:0.9:" + step])
+        assert rc == 2
+        assert out == ""
+        assert "asks for %s points, more than the 1000 allowed" % count in err
+
+    def test_sweep_at_the_point_limit_parses(self):
+        assert MAX_SWEEP_POINTS == 1000
+        assert len(_parse_sweep("p=0.0001:0.1:0.0001")[1]) == MAX_SWEEP_POINTS
+        with pytest.raises(ValueError, match="asks for 1001 points"):
+            _parse_sweep("p=0.0001:0.1001:0.0001")
+
     def test_empty_sweep_is_a_usage_error(self, capsys):
         # a sweep over no point must not pass
         rc, out, err = run(capsys, ["krawtchouk", "--N", "5", "--sweep", "p=0.9:0.1:0.2",
@@ -135,20 +152,15 @@ class TestKrawtchoukSpectra:
         assert rc == 0, err
         assert json.loads(out)["hamiltonian_relation"] < 1e-9
 
-    def test_table_past_the_float_range_names_the_cause(self, capsys):
-        rc, out, err = run(capsys, ["krawtchouk", "--p", "0.999", "--N", "210"])
-        assert rc == 1
-        assert out == ""
-        assert "p = 0.999, N = 210: the norm factor c_201 is too large" in err
-
-    def test_residual_past_the_float_range_names_the_cause(self, capsys):
-        # the table is finite, a difference-equation term is not
+    @pytest.mark.parametrize("p, N", [("0.999", "205"), ("0.999", "210")])
+    def test_points_past_the_kt_float_range_pass(self, capsys, p, N):
+        # at N = 205 a kt-side difference-equation term is past 1e308, at
+        # N = 210 c_201 itself; the battery reads only psi, |psi| <= 1
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rc, out, err = run(capsys, ["krawtchouk", "--p", "0.999", "--N", "205"])
-        assert rc == 1
-        assert out == ""
-        assert "p = 0.999, N = 205: a difference-equation term is too large" in err
+            rc, out, err = run(capsys, ["krawtchouk", "--p", p, "--N", N, "--format", "json"])
+        assert rc == 0, err
+        assert json.loads(out)["worst_residual"] < 1e-10
 
     def test_off_diagonal_lattice_hamiltonian_fails(self, capsys, monkeypatch):
         real = OscillatorOperators.hamiltonian.fget

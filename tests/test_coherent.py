@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -132,22 +133,57 @@ class TestThreeWayAgreement:
             "closed_form": coherent_closed_form(ch, 1.0 + 0.5j),
         }
         got = route_agreement(states)
-        assert list(got) == ["norms", "overlaps", "worst_overlap_deficit", "worst_norm_deficit"]
-        assert list(got["overlaps"]) == [
-            "exponential|series", "exponential|closed_form", "series|closed_form",
-        ]
+        assert list(got) == ["norms", "overlaps", "distances", "worst_overlap_deficit",
+                             "worst_distance", "worst_norm_deficit"]
+        for pairs in (got["overlaps"], got["distances"]):
+            assert list(pairs) == [
+                "exponential|series", "exponential|closed_form", "series|closed_form",
+            ]
         assert got["worst_overlap_deficit"] < 1e-12
+        assert got["worst_distance"] < 1e-12
         assert got["worst_norm_deficit"] < 1e-12
 
     def test_route_agreement_flags_disagreement(self):
         e0, e1 = np.eye(2, dtype=complex)
         got = route_agreement({"u": e0, "v": 2.0 * e1})
         assert got["overlaps"] == {"u|v": 0.0}
+        assert got["distances"] == {"u|v": 2.0}
         assert got["worst_overlap_deficit"] == 1.0
+        assert got["worst_distance"] == 2.0
         assert got["worst_norm_deficit"] == 1.0
         nan = route_agreement({"u": e0, "v": np.full(2, np.nan + 0j)})
         assert nan["worst_overlap_deficit"] == np.inf
+        assert nan["worst_distance"] == np.inf
         assert nan["worst_norm_deficit"] == np.inf
+
+    def test_orthogonal_error_fails_the_distance(self, monkeypatch, capsys):
+        # a 1e-6 error orthogonal to the closed-form state moves its overlap
+        # with the other routes by ~5e-13 and its norm by as little, which
+        # both bounds pass; the max-norm distance sees the 1e-6
+        import polyosc.coherent as co
+        from polyosc.acceptance import criterion_4
+        from polyosc.cli import main
+
+        real = co.coherent_closed_form
+
+        def off_by_orthogonal_error(chain, z, dim=None):
+            u = real(chain, z, dim=dim)
+            w = np.zeros_like(u)
+            w[-1] = 1.0
+            w -= np.vdot(u, w) / np.vdot(u, u) * u
+            return u + 1e-6 * w / np.linalg.norm(w)
+
+        monkeypatch.setattr(co, "coherent_closed_form", off_by_orthogonal_error)
+        rc = main(["coherent", "--chain", "boson", "--dim", "6", "--z", "1", "0.5",
+                   "--format", "json"])
+        payload = json.loads(capsys.readouterr().out)
+        assert rc == 1 and payload["pass"] is False
+        assert payload["worst_overlap_deficit"] < 1e-11
+        assert payload["worst_norm_deficit"] < 1e-11
+        assert payload["worst_distance"] > 1e-7
+        result = criterion_4()
+        assert not result.passed
+        assert result.measured > 1e-7
 
     def test_zero_displacement_is_vacuum(self):
         ch = RecurrenceCoefficients(b=[1.0, 0.5, 0.0])

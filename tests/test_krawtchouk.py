@@ -1,5 +1,5 @@
+import functools
 import math
-import re
 import warnings
 from fractions import Fraction
 
@@ -32,12 +32,20 @@ def krawtchouk_poly(n: int, x, p: float, N: int):
     return out if out.ndim else float(out)
 
 
+def _root(num: int, den: int) -> float:
+    """sqrt(num / den) of positive ints, the exact root rounded once: an
+    isqrt of 64 bits or more with its last bit set if anything was cut off
+    (a sticky bit, far below the rounding point), then one int / int
+    division (test oracle)."""
+    k = max(0, (den.bit_length() - num.bit_length()) // 2 + 66)
+    top, rest = divmod(num << 2 * k, den)
+    root = math.isqrt(top)
+    return float(Fraction(root | (rest != 0 or root * root != top), 1 << k))
+
+
 def exact_root(value: Fraction) -> float:
-    """sqrt(value) for a positive rational: the root truncated past 1200
-    fraction bits, then rounded once to float (test oracle)."""
-    k = 1200 + max(value.denominator.bit_length() - value.numerator.bit_length(), 0)
-    root = math.isqrt((value.numerator << 2 * k) // value.denominator)
-    return float(Fraction(root, 1 << k))
+    """sqrt(value) for a positive rational, rounded once (test oracle)."""
+    return _root(value.numerator, value.denominator)
 
 
 def norm_factor(n: int, p: float, N: int) -> float:
@@ -166,42 +174,108 @@ def fraction_table(p: float, N: int) -> np.ndarray:
     return table
 
 
-def full_recurrence_table(p: float, N: int) -> np.ndarray:
-    """The kt table by the integer recurrence over every column (test oracle).
-
-    The build before the self-dual mirror: every row runs A_n(x) for all
-    x = 0..N and scales it by c_n, the exact root rounded once.
-    """
+def integer_rows(p: float, N: int):
+    """(n, A_n, d_n) for n = 0..N: the integer recurrence over every column
+    x = 0..N, K_n(x) = A_n(x) / d_n exactly, p = m/D and r = D - m."""
     m, D = p.as_integer_ratio()
     r = D - m
     Dx = D * np.arange(N + 1, dtype=object)
     prev = np.zeros(N + 1, dtype=object)
     cur = np.ones(N + 1, dtype=object)
     d = 1
-    table = np.empty((N + 1, N + 1))
     for n in range(N + 1):
-        cn = exact_root(Fraction(math.comb(N, n) * m**n, r**n))
-        table[n] = cn * (cur / d).astype(float)
+        yield n, cur, d
         if n < N:
             up = m * (N - n)
             prev, cur = cur, (up + n * r - Dx) * cur - (n * r * m * (N - n + 1)) * prev
             d *= up
+
+
+def full_recurrence_table(p: float, N: int) -> np.ndarray:
+    """The kt table by the integer recurrence over every column (test oracle).
+
+    The build before the self-dual mirror and the split factors: every row
+    rounds A_n(x) / d_n to float and scales it by c_n, the exact root
+    rounded once.  A K_n(x) below the normal range loses its digits here.
+    """
+    m, D = p.as_integer_ratio()
+    table = np.empty((N + 1, N + 1))
+    for n, A, d in integer_rows(p, N):
+        cn = exact_root(Fraction(math.comb(N, n) * m**n, (D - m) ** n))
+        table[n] = cn * (A / d).astype(float)
     return table
 
 
+def _bracket(num: int, den: int) -> tuple[int, int]:
+    """(lo, shift) with num / den in [lo, lo + 1) / 2^shift, lo ~130 bits."""
+    shift = den.bit_length() - num.bit_length() + 130
+    return ((num << shift) // den if shift >= 0 else num // (den << -shift)), shift
+
+
+def _root_of_product(exact, brackets) -> float:
+    """The root of the product of the positive rationals `exact` (num, den),
+    rounded once.  The roots at both ends of the product of their brackets
+    (relative width ~2^-128) decide it where they agree, since rounding the
+    root is monotone; elsewhere the exact product is rooted."""
+    lo, hi, shift = 1, 1, 0
+    for f, k in brackets:
+        lo, hi, shift = lo * f, hi * (f + 1), shift + k
+    ends = [_root(v, 1 << shift) if shift >= 0 else _root(v << -shift, 1) for v in (lo, hi)]
+    if ends[0] == ends[1]:
+        return ends[0]
+    return _root(math.prod(f for f, _ in exact), math.prod(g for _, g in exact))
+
+
+@functools.lru_cache(maxsize=4)
+def exact_once_tables(p: float, N: int, with_psi: bool):
+    """(kt, psi) with every entry its exact value rounded once (test oracle;
+    psi is zeros unless with_psi).
+
+    kt_n(x) is the sign of K_n(x) times the root of c_n^2 K_n(x)^2, with
+    c_n^2 = C(N,n) m^n / r^n and K_n(x) = A_n(x) / d_n from integer_rows;
+    psi_n(x) is (-1)^n times that sign times the root of the same square
+    times rho(x) = C(N,x) m^x r^(N-x) / D^N.
+    """
+    m, D = p.as_integer_ratio()
+    r = D - m
+    rho = [(math.comb(N, x) * m**x * r ** (N - x), D**N) for x in range(N + 1)]
+    rho_brackets = [_bracket(*w) for w in rho]
+    kt, psi = np.zeros((N + 1, N + 1)), np.zeros((N + 1, N + 1))
+    for n, A, d in integer_rows(p, N):
+        c2 = (math.comb(N, n) * m**n, r**n)
+        c2_bracket = _bracket(*c2)
+        for x, a in enumerate(A):
+            if a == 0:
+                continue
+            sign, K = (1 if a > 0 else -1), (abs(a), d)
+            factors, brackets = [c2, K, K], [c2_bracket, _bracket(*K), _bracket(*K)]
+            kt[n, x] = sign * _root_of_product(factors, brackets)
+            if with_psi:
+                psi[n, x] = (-1) ** n * sign * _root_of_product(
+                    factors + [rho[x]], brackets + [rho_brackets[x]])
+    return kt, psi
+
+
+def ulps(got: np.ndarray, want: np.ndarray) -> np.ndarray:
+    """|got - want| in units of the spacing of floats at want."""
+    return np.abs(got - want) / np.spacing(np.abs(want))
+
+
 def loop_difference_equation_residual(p: float, N: int) -> float:
-    """The difference-equation residual one (n, x) entry at a time (test reference)."""
+    """The difference-equation residual on psi, one (n, x) entry at a time
+    (test reference): the kt equation times sqrt(rho(x)), whose neighbour
+    coefficients are the hops sqrt(p(1-p)(N-x)(x+1)) and sqrt(p(1-p)x(N-x+1))."""
     q = 1.0 - p
     worst = 0.0
-    table = kr.ktilde_table(p, N)
+    psi = kr.grid_functions(p, N)
     for n in range(N + 1):
-        kn = np.concatenate(([0.0], table[n], [0.0]))
+        kn = np.concatenate(([0.0], psi[n], [0.0]))
         for x in range(N + 1):
             terms = np.array(
                 [
-                    p * (N - x) * kn[x + 2],
+                    np.sqrt(p * q * (N - x) * (x + 1.0)) * kn[x + 2],
                     -(p * (N - x) + x * q) * kn[x + 1],
-                    x * q * kn[x],
+                    np.sqrt(p * q * (N - x + 1) * float(x)) * kn[x],
                     n * kn[x + 1],
                 ]
             )
@@ -263,12 +337,48 @@ class TestPolynomialTable:
         assert np.array_equal(kr.ktilde_table(p, N), full_recurrence_table(p, N))
 
     def test_extreme_p_overflows_like_full_recurrence(self):
-        # c_n^2 passes 1e308 from N = 148, c_n itself only from N = 206
-        assert np.array_equal(kr.ktilde_table(0.999, 150), full_recurrence_table(0.999, 150))
+        # c_n^2 passes 1e308 from N = 148, c_n itself only from N = 206.  At
+        # N = 150 K_n(x) is subnormal where c_n is huge, so the full-width
+        # recurrence, which rounds K_n(x) to float first, reads 0.0 where kt
+        # is a normal float; the split build matches the exact-once oracle
+        kt = exact_once_tables(0.999, 150, True)[0]
+        full = full_recurrence_table(0.999, 150)
+        assert np.any((full == 0.0) & (np.abs(kt) >= np.finfo(float).tiny))
+        assert np.max(ulps(kr.ktilde_table(0.999, 150), kt)) <= 3
+        # at N = 210 kt_201(0) = c_201 itself is past the float range
         with pytest.raises(OverflowError):
             full_recurrence_table(0.999, 210)
-        with pytest.raises(OverflowError, match=r"N = 210: the norm factor c_\d+ is too large"):
+        with pytest.raises(OverflowError, match=r"N = 210: a table entry kt_201\(x\) = c_201"):
             kr.ktilde_table(0.999, 210)
+
+    @pytest.mark.parametrize("p, N, with_psi", [
+        (0.4123457, 96, True), (0.999, 150, True), (0.97, 400, False),
+    ])
+    def test_split_build_within_ulps_of_exact_once_oracle(self, p, N, with_psi):
+        # three roundings of relative size 2^-53 make kt (K_n(x), c_n, their
+        # product), one more psi (times sqrt(rho)): every entry within 3 and
+        # 4 ulps.  The build before the split factors read 0.0 for 946 kt
+        # entries at (0.999, 150) and 18616 at (0.97, 400) that are normal
+        kt, psi = exact_once_tables(p, N, with_psi)
+        assert np.max(ulps(kr.ktilde_table(p, N), kt)) <= 3
+        if with_psi:
+            assert np.max(ulps(kr.grid_functions(p, N), psi)) <= 4
+
+    @pytest.mark.parametrize("p", (0.03, 0.3000001, 0.4123457, 0.5, 0.97))
+    @pytest.mark.parametrize("N", (1, 2, 24, 96))
+    def test_psi_is_self_dual_with_sign(self, p, N):
+        # psi_n(x) = (-1)^(n+x) psi_x(n) exactly (rho(x) c_n^2 = rho(n) c_x^2);
+        # the two sides round (K c_n) sqrt(rho(x)) and (K c_x) sqrt(rho(n)),
+        # each within 4 ulps of the same value
+        psi = kr.grid_functions(p, N)
+        sign = (-1.0) ** np.add.outer(np.arange(N + 1), np.arange(N + 1))
+        assert np.all(np.abs(psi - sign * psi.T) <= 8 * np.spacing(np.abs(psi)))
+
+    def test_psi_is_finite_where_K_leaves_the_float_range(self):
+        # K_205(x) is past 1e308 at (0.03, 400); kt stays below it (~1e304)
+        table = kr.ktilde_table(0.03, 400)
+        assert np.isfinite(table).all() and np.max(np.abs(table)) > 1e300
+        assert max(kr.grid_orthogonality_residuals(0.03, 400)) <= 2e-15
 
     @pytest.mark.parametrize("p", (0.03, 0.97))
     def test_large_table_is_finite(self, p):
@@ -325,7 +435,8 @@ class TestPolynomialTable:
             k = 1200 + max(rho.denominator.bit_length() - rho.numerator.bit_length(), 0)
             root = math.isqrt((rho.numerator << 2 * k) // rho.denominator)
             want.append(float(Fraction(root, 1 << k)))
-        assert np.array_equal(kr._weights_cached(p, N)[1], want)
+        mant, expo = kr._weights_cached(p, N)[1][:2]
+        assert np.array_equal(np.ldexp(mant, expo.astype(int)), want)
 
     @pytest.mark.parametrize("x", ([-1, 0.5, 13], -1, 13, 2.5, np.nan, np.inf, "3", [True]))
     def test_weights_reject_points_off_the_lattice(self, x):
@@ -343,8 +454,7 @@ class TestPolynomialTable:
     @pytest.mark.parametrize("N", (1, 24, 96))
     def test_norm_factors_are_the_tables(self, p, N):
         # K_n(0) = 1, so column 0 of the table is c_n itself
-        c = kr._lattice(p, N).table[:, 0]
-        assert np.array_equal(c, kr.ktilde_table(p, N)[:, 0])
+        c = kr.ktilde_table(p, N)[:, 0]
         assert np.array_equal(c, [norm_factor(n, p, N) for n in range(N + 1)])
 
     def test_validation(self):
@@ -370,10 +480,10 @@ class TestPolynomialTable:
             one[0, 0] = 77.0
             assert np.array_equal(accessor(0.3, 4), want), accessor
         # the shared record cannot be written through
-        for name, array in kr._lattice(0.3, 4)._asdict().items():
-            assert not array.flags.writeable, name
-            with pytest.raises(ValueError):
-                array[0] = 77.0
+        psi = kr._lattice(0.3, 4)
+        assert not psi.flags.writeable
+        with pytest.raises(ValueError):
+            psi[0] = 77.0
 
 
 class TestOrthogonality:
@@ -422,11 +532,9 @@ class TestOrthogonality:
         real = kr._lattice
 
         def poisoned(p, N):
-            # the record's table, and psi = (-1)^n sqrt(rho) kt built from it
-            lat = real(p, N)
-            table, psi = lat.table.copy(), lat.psi.copy()
-            table[3, 2] = psi[3, 2] = np.nan
-            return lat._replace(table=table, psi=psi)
+            psi = real(p, N).copy()
+            psi[3, 2] = np.nan
+            return psi
 
         monkeypatch.setattr(kr, "_lattice", poisoned)
         assert kr.grid_orthogonality_residuals(0.3, 8) == (np.inf, np.inf)
@@ -443,10 +551,9 @@ class TestOrthogonality:
         def bumped(delta):
             def lattice(p, N):
                 # one entry of the record's psi, at its largest magnitude
-                lat = real(p, N)
-                psi = lat.psi.copy()
+                psi = real(p, N).copy()
                 psi[np.unravel_index(np.argmax(np.abs(psi)), psi.shape)] += delta
-                return lat._replace(psi=psi)
+                return psi
             return lattice
 
         keys = ("dual_orthogonality", "grid_orthogonality")
@@ -460,23 +567,34 @@ class TestOrthogonality:
 
 
 class TestTableRange:
-    # the exact table rounds each K_n(x) and c_n to float once; past the
-    # float range it names the quantity instead of Python's bare message
+    # K_n(x), c_n and sqrt(rho) are split (mantissa, exponent) pairs, so only
+    # kt itself can leave the float range; ktilde_table then names the first
+    # row that does instead of returning inf, and psi stays finite
     @pytest.mark.parametrize("p, N, quantity", [
-        pytest.param(0.999, 210, "the norm factor c_201", id="0.999-210-c_201"),
-        (0.03, 400, "K_205(x)"),
+        # kt_n(0) = c_n: the rows that overflow first are those of c_n
+        pytest.param(0.999, 210, "kt_201(x) = c_201 K_201(x)", id="0.999-210-c_201"),
+        pytest.param(0.97, 410, "kt_375(x) = c_375 K_375(x)", id="0.97-410-c_375"),
     ])
     def test_overflow_names_the_quantity(self, p, N, quantity):
         with pytest.raises(OverflowError) as err:
             kr.ktilde_table(p, N)
-        assert "p = %r, N = %d: %s is too large" % (p, N, quantity) in str(err.value)
+        assert "p = %r, N = %d: a table entry %s is too large" % (p, N, quantity) in str(err.value)
+        assert max(kr.grid_orthogonality_residuals(p, N)) <= 2e-15
 
     def test_entry_past_the_float_range_names_it(self, monkeypatch):
         # kt_n(x) = c_n K_n(x) can leave the range with c_n and K_n(x) in it:
         # |K_1(6)| = 7/3 at (0.3, 6), times a norm factor set to 1e308
-        monkeypatch.setattr(kr, "_rounded_root", lambda num, den: 1e308)
-        with pytest.raises(OverflowError, match=r"N = 6: a table entry kt_n\(x\) = c_n K_n\(x\)"):
-            kr._ktilde_table(0.3, 6)
+        real = kr._weights_cached
+
+        def huge_norm_factors(p, N):
+            rho, roots = real(p, N)
+            roots = roots.copy()
+            roots[2:] = np.array(math.frexp(1e308))[:, None]
+            return rho, roots
+
+        monkeypatch.setattr(kr, "_weights_cached", huge_norm_factors)
+        with pytest.raises(OverflowError, match=r"N = 6: a table entry kt_1\(x\) = c_1 K_1\(x\)"):
+            kr.ktilde_table(0.3, 6)
 
     @pytest.mark.parametrize("p, N", [(0.97, 400), (0.999, 150), (0.999, 200), (0.99756, 200)])
     def test_points_past_the_squared_norm_factor_pass(self, p, N):
@@ -490,26 +608,17 @@ class TestTableRange:
         assert max(kr.grid_orthogonality_residuals(p, N)) <= 1e-14
 
     def test_walk_to_the_float_edge_passes_or_names_the_quantity(self):
-        # past N = 203 at p = 0.999 a difference-equation term (kt_n(x) near
-        # 1e307 times p(N - x)), then c_n itself, leaves the float range:
-        # every point passes with finite residuals or raises a named refusal
+        # past N = 203 at p = 0.999 a kt-side difference-equation term, then
+        # c_n itself, leaves the float range; the battery reads only psi
+        # (|psi| <= 1, coefficients like sqrt(p(1-p)(N-x)(x+1))), so every
+        # point passes with finite residuals and none is refused
         from polyosc.cli import _krawtchouk_point
 
-        outcomes = {}
         for N in range(145, 216, 5):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                try:
-                    row = _krawtchouk_point(0.999, N, 1e-8)
-                    assert row["pass"] and np.isfinite(row["worst_residual"]), row
-                    outcomes[N] = "pass"
-                except OverflowError as err:
-                    assert re.search(r"p = 0\.999, N = %d: .+ is too large for a float" % N,
-                                     str(err)), err
-                    outcomes[N] = str(err).split(": ", 1)[1]
-        assert outcomes[200] == "pass"
-        assert outcomes[205].startswith("a difference-equation term")
-        assert outcomes[210].startswith("the norm factor c_201")
+                row = _krawtchouk_point(0.999, N, 1e-8)
+            assert row["pass"] and np.isfinite(row["worst_residual"]), row
 
 
 class TestLatticeOscillator:
